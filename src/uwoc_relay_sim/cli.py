@@ -13,7 +13,6 @@ files, with no timestamps or environment-dependent content.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import logging
@@ -660,8 +659,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
     once per distinct hop length and shared by every power point, since
     transmit power enters only through the per-bit photon count. Each
     Monte Carlo point draws its seed deterministically from the config
-    seed and its (rate, power) position, so thread count cannot change
-    any number.
+    seed and its (rate, power) position.
+
+    `threads` is validated (>= 1) and otherwise reserved: the points run
+    one after another, since the work holds the interpreter lock and a
+    thread pool measured no faster, and every number is independent of it.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -727,12 +729,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
                 except (ConvergenceError, ValueError) as exc:
                     return dbm, None, None, None, str(exc)
 
-            indices = range(powers_dbm.size)
-            if threads > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(point, indices))
-            else:
-                results = [point(i) for i in indices]
+            results = [point(i) for i in range(powers_dbm.size)]
 
             xs, ys, lows, highs = [], [], [], []
             failed, clamped = [], []
@@ -888,7 +885,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default: csv)")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points (default: 1)")
+                       help="reserved; must be >= 1 (default: 1). Sweep points run "
+                            "one after another and outputs do not depend on it")
 
     _configure_logging()
     try:

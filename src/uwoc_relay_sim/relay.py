@@ -226,14 +226,20 @@ def chain_average_ber(chain: RelayChain, method: str, ghq: GhqRule | None = None
     """Average per-hop BERs of a chain and combine them end to end.
 
     Hops fade independently, so each hop's average BER is computed on its
-    own and the chain figures follow from the parity combinatorics.
+    own and the chain figures follow from the parity combinatorics. Hops
+    with the same slot energies (the same object), fading, noise and count
+    scale have the same average, which is computed once.
     """
     per_hop = np.empty(len(chain.hops))
+    solved: dict[tuple, float] = {}
     for i, hop in enumerate(chain.hops):
-        try:
-            per_hop[i] = hop_average_ber(hop, method, ghq)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"hop {i}: {exc}") from exc
+        key = (id(hop.energies), hop.fading, hop.noise, hop.scale)
+        if key not in solved:
+            try:
+                solved[key] = hop_average_ber(hop, method, ghq)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"hop {i}: {exc}") from exc
+        per_hop[i] = solved[key]
     vec = HopBerVector(per_hop)
     return ChainBerResult(
         exact=e2e_ber_exact(vec),

@@ -64,7 +64,11 @@ def _wilson_interval(k: int, n: int) -> tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # At k = 0 (k = n) the exact bound is 0 (1), but center - half rounds
+    # to a few 1e-22 at n = 1e6, which would not bracket ber_hat = 0.
+    low = 0.0 if k == 0 else max(0.0, center - half)
+    high = 1.0 if k == n else min(1.0, center + half)
+    return low, high
 
 
 def _simulate_block(

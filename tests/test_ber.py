@@ -2,8 +2,10 @@
 
 The saddle-point solver is checked against an exact Poisson (+) Gaussian
 tail oracle (direct pmf summation against the normal CDF at the solved
-threshold), closed-form limits, and frozen regression points; the fading
-and ISI averaging against hand-rolled per-pattern/per-node loops.
+threshold), closed-form limits, and frozen regression points; the array
+Newton solver also against nested scalar Brent solves of the same
+equations, element by element; the fading and ISI averaging against
+hand-rolled per-pattern/per-node loops.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm, poisson
 
 import uwoc_relay_sim as u
+import uwoc_relay_sim.ber as ber_module
 from uwoc_relay_sim.ber import _fading_nodes
 from uwoc_relay_sim.constants import (
     BOLTZMANN,
@@ -25,7 +29,7 @@ from uwoc_relay_sim.constants import (
 )
 from uwoc_relay_sim.errors import ConvergenceError
 
-from conftest import synthetic_hop
+from conftest import SIGMA_X_SQ, synthetic_hop
 
 Q5 = 0.5 * math.erfc(5.0 / math.sqrt(2.0))  # Gaussian tail at 5 sigma
 
@@ -253,6 +257,141 @@ def test_saddle_point_large_count_thermal_regime():
     assert u.saddle_point_ber(m0, m1, s2).ber == pytest.approx(
         u.gaussian_ber(m0, m1, s2), rel=0.02
     )
+
+
+# ---------------------------------------------------------------------------
+# Array saddle-point solver against an independent scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def _phi(s: float, m: float, beta: float, sigma_sq: float) -> float:
+    return m * math.exp(min(s, 709.0)) + sigma_sq * s - beta - 1.0 / s
+
+
+def _stationary_point(m: float, beta: float, sigma_sq: float, positive: bool) -> float:
+    """Root of _phi on one half-line by a doubling bracket and Brent's method."""
+    if m == 0.0:
+        disc = math.sqrt(beta * beta + 4.0 * sigma_sq)
+        return (beta + disc) / (2.0 * sigma_sq) if positive else (beta - disc) / (2.0 * sigma_sq)
+    if positive:
+        lo = 1.0
+        while _phi(lo, m, beta, sigma_sq) > 0.0:
+            lo *= 0.5
+        hi = max(1.0, lo)
+        while _phi(hi, m, beta, sigma_sq) < 0.0:
+            hi *= 2.0
+    else:
+        hi = -1.0
+        while _phi(hi, m, beta, sigma_sq) < 0.0:
+            hi *= 0.5
+        lo = min(-1.0, hi)
+        while _phi(lo, m, beta, sigma_sq) > 0.0:
+            lo *= 2.0
+    return brentq(_phi, lo, hi, args=(m, beta, sigma_sq), xtol=1e-15, rtol=8.9e-16)
+
+
+def _log_q(m: float, s: float, beta: float, sigma_sq: float) -> float:
+    exp_term = m * math.expm1(s) if m > 0.0 else 0.0
+    curv = (m * math.exp(min(s, 709.0)) if m > 0.0 else 0.0) + sigma_sq + 1.0 / (s * s)
+    return (
+        exp_term
+        + 0.5 * s * s * sigma_sq
+        - s * beta
+        - math.log(abs(s))
+        - 0.5 * math.log(2.0 * math.pi * curv)
+    )
+
+
+def brentq_saddle_oracle(m0: float, m1: float, sigma_sq: float) -> tuple[float, float]:
+    """(BER, beta) by nested scalar Brent solves: beta outside, s0 and s1 inside."""
+
+    def stationary(beta: float) -> tuple[float, float]:
+        return (
+            _stationary_point(m0, beta, sigma_sq, positive=True),
+            _stationary_point(m1, beta, sigma_sq, positive=False),
+        )
+
+    def threshold_residual(beta: float) -> float:
+        s0, s1 = stationary(beta)
+        return (
+            _log_q(m0, s0, beta, sigma_sq) + math.log(s0)
+            - _log_q(m1, s1, beta, sigma_sq) - math.log(-s1)
+        )
+
+    span = m1 - m0
+    beta = brentq(
+        threshold_residual, m0 + 1e-9 * span, m1 - 1e-9 * span, xtol=1e-15, rtol=8.9e-16
+    )
+    s0, s1 = stationary(beta)
+    ber = 0.5 * (
+        math.exp(_log_q(m0, s0, beta, sigma_sq)) + math.exp(_log_q(m1, s1, beta, sigma_sq))
+    )
+    return min(max(ber, 0.0), 0.5), beta
+
+
+def assert_solver_matches_oracle(m0, m1, sigma_sq: float) -> None:
+    m0, m1 = np.broadcast_arrays(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
+    sol = ber_module._saddle_solve(m0, m1, sigma_sq)
+    oracle = np.array(
+        [brentq_saddle_oracle(a, b, sigma_sq) for a, b in zip(m0.ravel(), m1.ravel())]
+    )
+    assert sol.ber == pytest.approx(oracle[:, 0], rel=1e-12, abs=0.0)
+    assert sol.beta == pytest.approx(oracle[:, 1], rel=1e-12, abs=0.0)
+
+
+LARGE_COUNT = (585.1243452584741, 12130310.075963056, 156051034.83317512)
+
+
+@pytest.mark.parametrize(
+    "m0,m1,sigma_sq",
+    [
+        pytest.param(0.0, [1.0, 5.0, 25.0, 60.0], 1e-6, id="quantum-corner"),
+        pytest.param([10.0, 5.0], [410.0, 805.0], 1e4, id="thermal-limit-1e4"),
+        pytest.param(5.0, 805.0, 4e4, id="thermal-limit-4e4"),
+        pytest.param(
+            LARGE_COUNT[0],
+            [LARGE_COUNT[1], LARGE_COUNT[0] + 12.0 * math.sqrt(LARGE_COUNT[2])],
+            LARGE_COUNT[2],
+            id="large-count-underflow",
+        ),
+        pytest.param([2.0, 5.0, 1.0], [20.0, 100.0, 100.0], 1.0, id="frozen-and-oracle-points"),
+    ],
+)
+def test_saddle_solver_matches_nested_brentq_oracle(m0, m1, sigma_sq):
+    assert_solver_matches_oracle(m0, m1, sigma_sq)
+
+
+@pytest.mark.parametrize("power_dbm", [10.0, 22.5, 40.0])
+def test_saddle_solver_matches_oracle_on_hop_grid(ir_coastal_22p5, noise_1ns, power_dbm):
+    # Every (fading node, ISI grid point) element hop_average_ber solves
+    # for a 22.5 m coastal hop at 1 Gbps. At 10 dBm the threshold
+    # residual sits at its rounding floor for part of the grid.
+    hop = u.HopBerInputs(
+        energies=u.bit_frame_energies(ir_coastal_22p5, bit_duration=1e-9),
+        fading=u.FadingModel(sigma_x_sq=SIGMA_X_SQ[22.5]),
+        noise=noise_1ns,
+        scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), 1e-9),
+    )
+    h, _ = _fading_nodes(hop, "saddle_point", u.ghq_rule(30))
+    n_ph = hop.scale.photons_per_bit
+    sums = ber_module._isi_pattern_sums(hop.energies.e_isi) * n_ph
+    grid = np.linspace(0.0, sums.max(), 65)
+    m0 = noise_1ns.n_bd + np.outer(h, grid)
+    m1 = m0 + (h * n_ph * hop.energies.e_signal)[:, None]
+    assert m0.shape == (30, 65)
+    assert_solver_matches_oracle(m0, m1, noise_1ns.sigma_th_sq)
+
+
+def test_hop_average_saddle_failure_names_quadrature_node(monkeypatch):
+    monkeypatch.setattr(ber_module, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match=r"quadrature node \d+ \(h=[0-9.e+-]+\)"):
+        u.hop_average_ber(synthetic_hop(17.0, e_isi=[8e-6, 4e-6]), "saddle_point")
+
+
+def test_saddle_point_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(ber_module, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+        u.saddle_point_ber(2.0, 20.0, 1.0)
 
 
 def test_saddle_point_validation():

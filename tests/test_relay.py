@@ -244,3 +244,46 @@ def test_chain_average_combines_hops_by_parity():
     # Two identical hops: per-hop BERs match and e2e is nearly double one.
     assert p[0] == pytest.approx(p[1], rel=1e-14)
     assert result.exact == pytest.approx(2.0 * p[0] * (1.0 - p[0]), rel=1e-12)
+
+
+def three_hop_chain_with_repeat() -> u.RelayChain:
+    """Hops 0 and 1 share energies, fading, noise and scale; hop 2 differs."""
+    chain = two_hop_chain(21.0)
+    return u.RelayChain(
+        hops=chain.hops + (synthetic_hop(19.0),),
+        total_power_per_bit=chain.total_power_per_bit,
+        power_shares=(0.25, 0.25, 0.5),
+        data_rate=chain.data_rate,
+    )
+
+
+def test_chain_average_solves_each_distinct_hop_once(monkeypatch):
+    import uwoc_relay_sim.relay as relay
+
+    chain = three_hop_chain_with_repeat()
+    solved = []
+
+    def counting(hop, method, ghq=None):
+        solved.append(hop)
+        return u.hop_average_ber(hop, method, ghq)
+
+    monkeypatch.setattr(relay, "hop_average_ber", counting)
+    result = u.chain_average_ber(chain, "gaussian")
+    assert solved == [chain.hops[0], chain.hops[2]]
+    expected = [u.hop_average_ber(hop, "gaussian") for hop in chain.hops]
+    assert result.per_hop.p.tolist() == expected
+
+
+def test_chain_average_names_the_failing_hop(monkeypatch):
+    import uwoc_relay_sim.relay as relay
+
+    chain = three_hop_chain_with_repeat()
+
+    def failing_last(hop, method, ghq=None):
+        if hop is chain.hops[2]:
+            raise u.ConvergenceError("no root")
+        return u.hop_average_ber(hop, method, ghq)
+
+    monkeypatch.setattr(relay, "hop_average_ber", failing_last)
+    with pytest.raises(u.ConvergenceError, match=r"^hop 2: no root$"):
+        u.chain_average_ber(chain, "gaussian")

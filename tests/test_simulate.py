@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import uwoc_relay_sim as u
+from uwoc_relay_sim.simulate import _wilson_interval
 
 from conftest import synthetic_hop
 
@@ -106,6 +107,23 @@ def test_error_free_at_high_power():
     assert res.ber_hat == 0.0
     assert res.ci95_low == 0.0
     assert res.gaussian_draws_used  # Poisson means ~3.6e6 >> 1e4 switch
+
+
+@pytest.mark.parametrize("n", [1_000_000, 10_000_000])
+def test_wilson_interval_is_exact_at_zero_and_all_errors(n):
+    # center - half rounds to ~1e-22 instead of 0 at k = 0 for large n,
+    # which would not bracket ber_hat = 0.
+    low, high = _wilson_interval(0, n)
+    assert low == 0.0 and 0.0 < high < 10.0 / n
+    low, high = _wilson_interval(n, n)
+    assert high == 1.0 and 1.0 - 10.0 / n < low < 1.0
+
+
+def test_error_free_at_high_power_million_bits():
+    chain = single_hop_chain(synthetic_hop(40.0, sigma_x_sq=0.0))
+    res = u.run_bit_simulation(chain, 1_000_000, seed=3)
+    assert res.n_errors == 0
+    assert res.ci95_low == 0.0 == res.ber_hat < res.ci95_high
 
 
 def test_coin_flip_at_zero_signal():
