@@ -748,7 +748,9 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
             metadata.update(
                 data_rate_bps=rate,
                 memory_per_hop=[int(m) for m in memories],
-                isi_pattern_sampling_per_hop=[m > ISI_ENUMERATION_CAP for m in memories],
+                isi_average_per_hop=[
+                    "convolved" if m > ISI_ENUMERATION_CAP else "enumerated" for m in memories
+                ],
                 failed_points=failed,
                 clamped_points_dbm=clamped,
             )

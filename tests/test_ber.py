@@ -5,16 +5,19 @@ tail oracle (direct pmf summation against the normal CDF at the solved
 threshold), closed-form limits, and frozen regression points; the array
 Newton solver also against nested scalar Brent solves of the same
 equations, element by element; the fading and ISI averaging against
-hand-rolled per-pattern/per-node loops.
+hand-rolled per-pattern/per-node loops, and the convolved ISI
+distribution of long channel memories against all 2^L patterns.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.stats import norm, poisson
 
@@ -374,8 +377,8 @@ def test_saddle_solver_matches_oracle_on_hop_grid(ir_coastal_22p5, noise_1ns, po
     )
     h, _ = _fading_nodes(hop, "saddle_point", u.ghq_rule(30))
     n_ph = hop.scale.photons_per_bit
-    sums = ber_module._isi_pattern_sums(hop.energies.e_isi) * n_ph
-    grid = np.linspace(0.0, sums.max(), 65)
+    values, _ = ber_module._isi_distribution(hop.energies.e_isi)
+    grid = np.linspace(0.0, values.max() * n_ph, 65)
     m0 = noise_1ns.n_bd + np.outer(h, grid)
     m1 = m0 + (h * n_ph * hop.energies.e_signal)[:, None]
     assert m0.shape == (30, 65)
@@ -566,12 +569,99 @@ def test_hop_average_monotone_in_power_and_fading():
     assert all(a < b for a, b in zip(by_fading, by_fading[1:]))
 
 
-def test_hop_average_long_memory_sampling_is_deterministic():
-    hop = synthetic_hop(18.0, e_isi=np.full(17, 1e-6))
-    a = u.hop_average_ber(hop, "awgn_ghqf")
-    b = u.hop_average_ber(hop, "awgn_ghqf")
-    assert a == b
-    assert 0.0 < a < 0.5
+def enumerated_hop_oracle(hop: u.HopBerInputs, method: str) -> float:
+    """Average over all 2^L ISI patterns, listed one by one, at the library's
+    fading nodes. The saddle point is solved on a 65-point grid spanning
+    the exact ISI range and interpolated in log-BER (checked against
+    per-pattern solves by test_hop_average_saddle_grid_matches_exact_solves)."""
+    sums = np.zeros(1)
+    for e in hop.energies.e_isi:
+        sums = np.concatenate([sums, sums + e])
+    n_ph = hop.scale.photons_per_bit
+    counts = n_ph * sums
+    gamma_s = n_ph * hop.energies.e_signal
+    noise = hop.noise
+    h_nodes, weights = _fading_nodes(hop, method, u.ghq_rule(30))
+    if method == "saddle_point":
+        grid = np.linspace(0.0, counts.max(), 65)
+        m0 = noise.n_bd + np.outer(h_nodes, grid)
+        sol = ber_module._saddle_solve(m0, m0 + (h_nodes * gamma_s)[:, None], noise.sigma_th_sq)
+        log_ber = np.log(sol.ber.reshape(m0.shape))
+    total = 0.0
+    for i, (h, w) in enumerate(zip(h_nodes, weights)):
+        if method == "awgn_ghqf":
+            sigma = 2.0 * math.sqrt(noise.sigma_th_sq + noise.n_bd)
+            one = norm.sf(h * (gamma_s + 2.0 * counts) / sigma)
+            zero = norm.sf(h * (gamma_s - 2.0 * counts) / sigma)
+            pattern_bers = 0.5 * (one + zero)
+        elif method == "gaussian":
+            m0 = noise.n_bd + h * counts
+            m1 = m0 + h * gamma_s
+            pattern_bers = norm.sf(
+                (m1 - m0) / (np.sqrt(m1 + noise.sigma_th_sq) + np.sqrt(m0 + noise.sigma_th_sq))
+            )
+        else:
+            pattern_bers = np.exp(PchipInterpolator(grid, log_ber[i])(counts))
+        total += w * pattern_bers.mean()
+    return total
+
+
+def channel_like_taps(memory: int) -> np.ndarray:
+    """Unequal ISI taps shaped like a traced 10 Gbps 22.5 m coastal response:
+    one leading tap of 7% of the signal slot, then a decaying, uneven tail;
+    about 10% of the signal in all."""
+    k = np.arange(memory)
+    return 1.7e-4 * np.where(k == 0, 0.07, 0.01 * 0.75**k * (1.0 + 0.5 * np.cos(1.7 * k)))
+
+
+@pytest.mark.parametrize("method", u.BER_METHODS)
+@pytest.mark.parametrize("power_dbm", [18.0, 28.0])
+@pytest.mark.parametrize("memory", [17, 20])
+def test_hop_average_long_memory_matches_enumeration(memory, power_dbm, method):
+    # Beyond ISI_ENUMERATION_CAP the ISI sum is convolved on a grid; it
+    # must reproduce the exact 2^L-pattern average at BER ~1e-3 (18 dBm)
+    # and in the deep tail (28 dBm, BER ~1e-12 to 1e-13).
+    assert memory > u.ISI_ENUMERATION_CAP
+    hop = synthetic_hop(power_dbm, e_isi=channel_like_taps(memory))
+    got = u.hop_average_ber(hop, method)
+    assert got == pytest.approx(enumerated_hop_oracle(hop, method), rel=1e-7)
+
+
+def test_hop_average_longest_memory_is_bounded_and_deterministic():
+    # The simulator's largest history, with taps decaying over all of it
+    # (30% of the signal slot in all); listing or sampling patterns of
+    # this length would take gigabytes.
+    taps = np.exp(-np.arange(u.HISTORY_CAP) / 500.0)
+    hop = synthetic_hop(19.0, e_isi=0.3 * 1.7e-4 * taps / taps.sum())
+    for method in u.BER_METHODS:
+        tracemalloc.start()
+        try:
+            first = u.hop_average_ber(hop, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"{method}: peak {peak / 1e6:.1f} MB"
+        assert 0.0 < first <= 0.5
+        assert u.hop_average_ber(hop, method) == first
+
+
+@pytest.mark.parametrize("power_dbm", [24.0, 27.0, 30.0, 33.0])
+def test_hop_average_convolved_isi_converges_in_grid(fine_irs, monkeypatch, power_dbm):
+    # A real 10 Gbps hop, whose memory is in the hundreds: a grid four
+    # times finer moves the average by less than 1e-6 relative.
+    energies = u.bit_frame_energies(fine_irs[22.5], bit_duration=1e-10)
+    assert energies.memory > 100
+    hop = u.HopBerInputs(
+        energies=energies,
+        fading=u.FadingModel(sigma_x_sq=SIGMA_X_SQ[22.5]),
+        noise=u.NoiseModel.typical(1e-10),
+        scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), 1e-10),
+    )
+    methods = ("awgn_ghqf", "gaussian")
+    default = [u.hop_average_ber(hop, m) for m in methods]
+    monkeypatch.setattr(ber_module, "_ISI_GRID_POINTS", 4 * ber_module._ISI_GRID_POINTS)
+    finer = [u.hop_average_ber(hop, m) for m in methods]
+    assert default == pytest.approx(finer, rel=1e-6)
 
 
 def test_hop_average_validation():
