@@ -8,6 +8,8 @@ codes), not statistical quality.
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -357,3 +359,247 @@ def test_cli_log_env_var_is_tolerated(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("UWOC_RELAY_SIM_LOG", "not-a-level")
     assert main(["validate", "--config", str(path)]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Characterization: the exact violations, or the config hash, of each input
+# ---------------------------------------------------------------------------
+
+CATALOGUE_PATH = Path(__file__).with_name("cli_config_catalogue.json")
+"""Expected outcome per catalogue input: a config hash, or the violations.
+
+Recorded once from the hand-written validator that the field table
+replaced; a change to the validator must reproduce it, never re-record it.
+"""
+
+_SPECTRUM = {k: v for k, v in MINIMAL.items() if k != "turbulence"}
+_COEFFICIENTS = {**MINIMAL, "water": {"absorption": 0.1, "scattering": 0.02}}
+_RELAYS = {**MINIMAL, "hops": {"relay_count": 1, "end_to_end_distance_m": 18.0}}
+_TWO_HOPS = {**MINIMAL, "hops": {"lengths_m": [9.0, 9.0]}}
+
+SCALAR_FIELDS = (
+    ("water", "absorption", _COEFFICIENTS),
+    ("water", "scattering", _COEFFICIENTS),
+    ("water", "hg_asymmetry", MINIMAL),
+    ("water", "refractive_index", MINIMAL),
+    ("geometry", "aperture_diameter_m", MINIMAL),
+    ("geometry", "half_angle_fov_deg", MINIMAL),
+    ("geometry", "beam_divergence_full_deg", MINIMAL),
+    ("geometry", "wavelength_m", MINIMAL),
+    ("hops", "relay_count", _RELAYS),
+    ("hops", "end_to_end_distance_m", _RELAYS),
+    ("turbulence", "chi_t", _SPECTRUM),
+    ("turbulence", "epsilon_diss", _SPECTRUM),
+    ("turbulence", "w_ratio", _SPECTRUM),
+    ("noise", "background_rate_per_s", MINIMAL),
+    ("noise", "dark_current_a", MINIMAL),
+    ("noise", "receiver_temperature_k", MINIMAL),
+    ("noise", "load_resistance_ohm", MINIMAL),
+    ("noise", "quantum_efficiency", MINIMAL),
+    ("power_sweep_dbm", "start", MINIMAL),
+    ("power_sweep_dbm", "stop", MINIMAL),
+    ("power_sweep_dbm", "step", MINIMAL),
+    (None, "ghq_order", MINIMAL),
+    (None, "tail_epsilon", MINIMAL),
+    ("mc", "n_photons", MINIMAL),
+    ("mc", "n_bits", MINIMAL),
+    ("mc", "seed", MINIMAL),
+    ("mc", "bin_width_s", MINIMAL),
+)
+"""(section, or None at the top level; key; a valid document to set it in)."""
+
+PROBES = ("x", True, None, math.inf, math.nan, -1, 0, 0.5, 1, 1.5, 64, 65, 90, 91)
+"""A string, a bool, null, non-finite values, and both sides of every bound."""
+
+SECTIONS = ("water", "geometry", "hops", "turbulence", "noise", "power_sweep_dbm", "mc")
+
+
+def _with(base, section, key, value):
+    if section is None:
+        return {**base, key: value}
+    return {**base, section: {**base.get(section, {}), key: value}}
+
+
+def _without(base, key):
+    return {k: v for k, v in base.items() if k != key}
+
+
+CROSS_FIELD_CASES = {
+    "minimal": MINIMAL,
+    "tiny sweep": TINY_SWEEP,
+    "root is a list": [],
+    "root is a number": 5,
+    "config.bogus": {**MINIMAL, "bogus": 1},
+    "several sections": {
+        "water": {"preset": "ocean"},
+        "hops": {"lengths_m": []},
+        "data_rates_bps": [-1.0],
+        "ghq_order": 99,
+        "bogus_section": {},
+    },
+    # water: preset against coefficients
+    "water missing": _without(MINIMAL, "water"),
+    "water empty": {**MINIMAL, "water": {}},
+    "water.preset clear": {**MINIMAL, "water": {"preset": "clear"}},
+    "water.preset harbor": {**MINIMAL, "water": {"preset": "harbor"}},
+    "water.preset unknown": {**MINIMAL, "water": {"preset": "ocean"}},
+    "water.preset number": {**MINIMAL, "water": {"preset": 5}},
+    "water.preset null": {**MINIMAL, "water": {"preset": None, "absorption": 0.1,
+                                               "scattering": 0.02}},
+    "water.preset matching coefficients": {
+        **MINIMAL, "water": {"preset": "coastal", "absorption": 0.179, "scattering": 0.219}},
+    "water.preset conflicting absorption": {
+        **MINIMAL, "water": {"preset": "coastal", "absorption": 0.5}},
+    "water.preset conflicting scattering": {
+        **MINIMAL, "water": {"preset": "coastal", "scattering": 0.5}},
+    "water.preset conflicting both": {
+        **MINIMAL, "water": {"preset": "coastal", "absorption": 0.5, "scattering": 0.5}},
+    "water.preset unknown with absorption": {
+        **MINIMAL, "water": {"preset": "ocean", "absorption": 0.1}},
+    "water.preset unknown with coefficients": {
+        **MINIMAL, "water": {"preset": "ocean", "absorption": 0.1, "scattering": 0.02}},
+    "water.preset unknown and hg_asymmetry": {
+        **MINIMAL, "water": {"preset": "ocean", "hg_asymmetry": 2}},
+    "water.preset conflict and refractive_index": {
+        **MINIMAL, "water": {"preset": "coastal", "absorption": 0.5, "refractive_index": 0}},
+    "water.absorption only": {**MINIMAL, "water": {"absorption": 0.1}},
+    "water.scattering only": {**MINIMAL, "water": {"scattering": 0.1}},
+    "water.absorption and scattering bad": {
+        **MINIMAL, "water": {"absorption": -1, "scattering": "x"}},
+    # hops: lengths against relay_count and end_to_end_distance_m
+    "hops missing": _without(MINIMAL, "hops"),
+    "hops empty": {**MINIMAL, "hops": {}},
+    "hops.lengths_m empty": {**MINIMAL, "hops": {"lengths_m": []}},
+    "hops.lengths_m zero": {**MINIMAL, "hops": {"lengths_m": [0]}},
+    "hops.lengths_m negative": {**MINIMAL, "hops": {"lengths_m": [9.0, -1.0]}},
+    "hops.lengths_m string": {**MINIMAL, "hops": {"lengths_m": ["9"]}},
+    "hops.lengths_m bool": {**MINIMAL, "hops": {"lengths_m": [True]}},
+    "hops.lengths_m inf": {**MINIMAL, "hops": {"lengths_m": [math.inf]}},
+    "hops.lengths_m number": {**MINIMAL, "hops": {"lengths_m": 9.0}},
+    "hops.lengths_m with matching relays": {
+        **MINIMAL, "hops": {"lengths_m": [9.0, 9.0], "relay_count": 1,
+                            "end_to_end_distance_m": 18.0}},
+    "hops.lengths_m with conflicting relay_count": {
+        **MINIMAL, "hops": {"lengths_m": [9.0], "relay_count": 3}},
+    "hops.lengths_m with conflicting distance": {
+        **MINIMAL, "hops": {"lengths_m": [9.0], "end_to_end_distance_m": 10.0}},
+    "hops.lengths_m with both conflicting": {
+        **MINIMAL, "hops": {"lengths_m": [9.0], "relay_count": 2,
+                            "end_to_end_distance_m": 10.0}},
+    "hops.relay_count only": {**MINIMAL, "hops": {"relay_count": 1}},
+    "hops.end_to_end_distance_m only": {**MINIMAL, "hops": {"end_to_end_distance_m": 18.0}},
+    "hops four equal": {
+        **MINIMAL, "hops": {"relay_count": 3, "end_to_end_distance_m": 105.0}},
+    # turbulence: sigma_x_sq against the spectrum
+    "turbulence missing": _SPECTRUM,
+    "turbulence empty": {**MINIMAL, "turbulence": {}},
+    "turbulence.sigma_x_sq and chi_t": {
+        **MINIMAL, "turbulence": {"sigma_x_sq": 0.05, "chi_t": 1e-7}},
+    "turbulence.sigma_x_sq and null spectrum": {
+        **MINIMAL, "turbulence": {"sigma_x_sq": 0.05, "chi_t": None, "w_ratio": None}},
+    "turbulence.sigma_x_sq null and chi_t": {
+        **MINIMAL, "turbulence": {"sigma_x_sq": None, "chi_t": 1e-7}},
+    "turbulence.sigma_x_sq zero": {**MINIMAL, "turbulence": {"sigma_x_sq": 0}},
+    "turbulence.sigma_x_sq negative": {**MINIMAL, "turbulence": {"sigma_x_sq": -0.1}},
+    "turbulence.sigma_x_sq string": {**MINIMAL, "turbulence": {"sigma_x_sq": "x"}},
+    "turbulence.sigma_x_sq bool": {**MINIMAL, "turbulence": {"sigma_x_sq": True}},
+    "turbulence.sigma_x_sq list of bool": {**MINIMAL, "turbulence": {"sigma_x_sq": [True]}},
+    "turbulence.sigma_x_sq list with inf": {
+        **MINIMAL, "turbulence": {"sigma_x_sq": [math.inf]}},
+    "turbulence.sigma_x_sq and bad chi_t": {
+        **MINIMAL, "turbulence": {"sigma_x_sq": "x", "chi_t": "y"}},
+    "turbulence.sigma_x_sq broadcast": {**_TWO_HOPS, "turbulence": {"sigma_x_sq": 0.03}},
+    "turbulence.sigma_x_sq per hop": {
+        **_TWO_HOPS, "turbulence": {"sigma_x_sq": [0.03, 0.04]}},
+    "turbulence.sigma_x_sq wrong length": {
+        **_TWO_HOPS, "turbulence": {"sigma_x_sq": [0.03]}},
+    "turbulence.w_ratio and chi_t bad": {
+        **_SPECTRUM, "turbulence": {"chi_t": -1, "w_ratio": 1}},
+    # data rates
+    "data_rates_bps missing": _without(MINIMAL, "data_rates_bps"),
+    "data_rates_bps empty": {**MINIMAL, "data_rates_bps": []},
+    "data_rates_bps number": {**MINIMAL, "data_rates_bps": 1e9},
+    "data_rates_bps zero": {**MINIMAL, "data_rates_bps": [0]},
+    "data_rates_bps negative": {**MINIMAL, "data_rates_bps": [1e9, -1e9]},
+    "data_rates_bps string": {**MINIMAL, "data_rates_bps": ["1e9"]},
+    "data_rates_bps bool": {**MINIMAL, "data_rates_bps": [True]},
+    "data_rates_bps inf": {**MINIMAL, "data_rates_bps": [math.inf]},
+    "data_rates_bps duplicate": {**MINIMAL, "data_rates_bps": [1e9, 1e9]},
+    "data_rates_bps two": {**MINIMAL, "data_rates_bps": [1e9, 2e9]},
+    # power sweep: start < stop
+    "power_sweep_dbm start equals stop": {
+        **MINIMAL, "power_sweep_dbm": {"start": 5, "stop": 5}},
+    "power_sweep_dbm start above stop": {
+        **MINIMAL, "power_sweep_dbm": {"start": 30, "stop": 10}},
+    "power_sweep_dbm start above stop, step negative": {
+        **MINIMAL, "power_sweep_dbm": {"start": 30, "stop": 10, "step": -1}},
+    "power_sweep_dbm start above stop, step string": {
+        **MINIMAL, "power_sweep_dbm": {"start": 30, "stop": 10, "step": "x"}},
+    "power_sweep_dbm bad start against stop": {
+        **MINIMAL, "power_sweep_dbm": {"start": "x", "stop": -20}},
+    # power shares
+    "power_shares one hop": {**MINIMAL, "power_shares": [1.0]},
+    "power_shares null": {**_TWO_HOPS, "power_shares": None},
+    "power_shares two hops": {**_TWO_HOPS, "power_shares": [0.25, 0.75]},
+    "power_shares sum": {**_TWO_HOPS, "power_shares": [0.25, 0.25]},
+    "power_shares wrong length": {**_TWO_HOPS, "power_shares": [1.0]},
+    "power_shares negative": {**_TWO_HOPS, "power_shares": [-0.5, 1.5]},
+    "power_shares string": {**_TWO_HOPS, "power_shares": "x"},
+    "power_shares bool": {**_TWO_HOPS, "power_shares": [True, 0]},
+    "power_shares inf": {**_TWO_HOPS, "power_shares": [0.5, math.inf]},
+    "power_shares with bad hops": {**MINIMAL, "hops": {}, "power_shares": [0.5, 0.5]},
+    # methods
+    "methods null": {**MINIMAL, "methods": None},
+    "methods empty": {**MINIMAL, "methods": []},
+    "methods string": {**MINIMAL, "methods": "awgn_ghqf"},
+    "methods unknown": {**MINIMAL, "methods": ["bogus"]},
+    "methods number": {**MINIMAL, "methods": [5]},
+    "methods duplicate": {**MINIMAL, "methods": ["awgn_ghqf", "awgn_ghqf"]},
+    "methods duplicate unknown": {**MINIMAL, "methods": ["bogus", "bogus"]},
+    "methods unknown among known": {**MINIMAL, "methods": ["gaussian", "bogus", "montecarlo"]},
+    "methods montecarlo": {**MINIMAL, "methods": ["montecarlo"]},
+}
+
+
+def _catalogue() -> dict:
+    cases = dict(CROSS_FIELD_CASES)
+    for section in SECTIONS:
+        cases[f"{section} is a number"] = {**MINIMAL, section: 5}
+        cases[f"{section} is a list"] = {**MINIMAL, section: []}
+        cases[f"{section}.bogus"] = _with(MINIMAL, section, "bogus", 1)
+    for section, key, base in SCALAR_FIELDS:
+        name = key if section is None else f"{section}.{key}"
+        for probe in PROBES:
+            cases[f"{name}={probe!r}"] = _with(base, section, key, probe)
+    return cases
+
+
+CATALOGUE = _catalogue()
+
+
+def config_outcome(tmp_path, data):
+    """The input's config hash, or the messages of the ConfigError it raises."""
+    try:
+        return load(tmp_path, data).config_hash()
+    except ConfigError as exc:
+        return exc.violations or [str(exc)]
+
+
+@pytest.fixture(scope="module")
+def recorded_outcomes():
+    return json.loads(CATALOGUE_PATH.read_text())
+
+
+def test_catalogue_matches_recorded_inputs(recorded_outcomes):
+    assert sorted(recorded_outcomes) == sorted(CATALOGUE)
+
+
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_config_characterization(tmp_path, recorded_outcomes, name):
+    assert config_outcome(tmp_path, CATALOGUE[name]) == recorded_outcomes[name]
+
+
+def test_config_hash_pins(tmp_path):
+    assert load(tmp_path, MINIMAL).config_hash() == "5620d4ec72d6874b"
+    assert load(tmp_path, TINY_SWEEP).config_hash() == "0e216e6b9bfb1070"
+    assert load(tmp_path, _SPECTRUM).config_hash() == "44b64b6874fbef78"
