@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,17 @@ import numpy as np
 from . import __version__
 from .ber import (
     BER_METHODS,
+    DEFAULT_BACKGROUND_RATE,
+    DEFAULT_DARK_CURRENT,
+    DEFAULT_LOAD_RESISTANCE,
+    DEFAULT_QUANTUM_EFFICIENCY,
+    DEFAULT_RECEIVER_TEMPERATURE,
     ISI_ENUMERATION_CAP,
-    CountScale,
     NoiseModel,
 )
 from .channel import (
+    DEFAULT_HG_ASYMMETRY,
+    DEFAULT_REFRACTIVE_INDEX,
     WATER_PRESETS,
     ImpulseResponse,
     LinkGeometry,
@@ -69,27 +75,87 @@ BER_CLAMP_FLOOR = 1e-300
 
 _LOG_ENV_VAR = "UWOC_RELAY_SIM_LOG"
 
-_DEFAULTS = {
-    "geometry": {
-        "aperture_diameter_m": 0.2,
-        "half_angle_fov_deg": 40.0,
-        "beam_divergence_full_deg": 0.02,
-        "wavelength_m": 532e-9,
-    },
-    "turbulence": {"chi_t": 2e-7, "epsilon_diss": 1.5e-5, "w_ratio": -2.5},
-    "noise": {
-        "background_rate_per_s": 1.8094e8,
-        "dark_current_a": 1.226e-9,
-        "receiver_temperature_k": 290.0,
-        "load_resistance_ohm": 100.0,
-        "quantum_efficiency": 0.8,
-    },
-    "power_sweep_dbm": {"start": -10.0, "stop": 50.0, "step": 1.0},
-    "methods": ["awgn_ghqf"],
-    "ghq_order": 30,
-    "tail_epsilon": 1e-6,
-    "mc": {"n_photons": 1_000_000, "n_bits": 1_000_000, "seed": 12345, "bin_width_s": None},
+
+@dataclass(frozen=True)
+class _Field:
+    """One scalar config value: where it sits in the JSON, and how it is checked.
+
+    `default` stands in when the key is absent or null, and after a
+    violation, so that later cross-field checks still see a number.
+    `bounds` are (op, limit) pairs checked in order; op "in" is an open
+    interval.
+    """
+
+    section: str | None  # None: a top-level key
+    key: str
+    attr: str  # the RunConfig attribute it fills
+    default: float | int | None
+    bounds: tuple = ()
+    integer: bool = False
+
+    @property
+    def name(self) -> str:
+        return self.key if self.section is None else f"{self.section}.{self.key}"
+
+
+_BOUND_CHECKS = {
+    ">=": lambda value, limit: value >= limit,
+    ">": lambda value, limit: value > limit,
+    "<=": lambda value, limit: value <= limit,
+    "<": lambda value, limit: value < limit,
+    "in": lambda value, limit: limit[0] < value < limit[1],
 }
+
+_NONNEGATIVE = ((">=", 0.0),)
+_POSITIVE = ((">", 0.0),)
+_LINK = {f.name: f.default for f in fields(LinkGeometry)}
+
+_FIELDS = (
+    _Field("water", "absorption", "absorption", None, _NONNEGATIVE),
+    _Field("water", "scattering", "scattering", None, _NONNEGATIVE),
+    _Field("water", "hg_asymmetry", "hg_asymmetry", DEFAULT_HG_ASYMMETRY, (("in", (-1, 1)),)),
+    _Field("water", "refractive_index", "refractive_index", DEFAULT_REFRACTIVE_INDEX,
+           ((">=", 1.0),)),
+    _Field("geometry", "aperture_diameter_m", "aperture_diameter_m",
+           _LINK["aperture_diameter"], _POSITIVE),
+    _Field("geometry", "half_angle_fov_deg", "half_angle_fov_deg",
+           _LINK["half_angle_fov"], _POSITIVE + (("<=", 90.0),)),
+    _Field("geometry", "beam_divergence_full_deg", "beam_divergence_full_deg",
+           _LINK["beam_divergence_full"], _NONNEGATIVE),
+    _Field("geometry", "wavelength_m", "wavelength_m", _LINK["wavelength"], _POSITIVE),
+    _Field("turbulence", "chi_t", "chi_t", 2e-7, _NONNEGATIVE),
+    _Field("turbulence", "epsilon_diss", "epsilon_diss", 1.5e-5, _POSITIVE),
+    _Field("turbulence", "w_ratio", "w_ratio", -2.5, (("<", 0),)),
+    _Field("noise", "background_rate_per_s", "background_rate_per_s",
+           DEFAULT_BACKGROUND_RATE, _NONNEGATIVE),
+    _Field("noise", "dark_current_a", "dark_current_a", DEFAULT_DARK_CURRENT, _NONNEGATIVE),
+    _Field("noise", "receiver_temperature_k", "receiver_temperature_k",
+           DEFAULT_RECEIVER_TEMPERATURE, _POSITIVE),
+    _Field("noise", "load_resistance_ohm", "load_resistance_ohm",
+           DEFAULT_LOAD_RESISTANCE, _POSITIVE),
+    _Field("noise", "quantum_efficiency", "quantum_efficiency",
+           DEFAULT_QUANTUM_EFFICIENCY, _POSITIVE + (("<=", 1.0),)),
+    _Field("power_sweep_dbm", "start", "sweep_start_dbm", -10.0),
+    _Field("power_sweep_dbm", "stop", "sweep_stop_dbm", 50.0),
+    # step > 0 is checked in code after start < stop, keeping the order violations are listed in.
+    _Field("power_sweep_dbm", "step", "sweep_step_db", 1.0),
+    _Field(None, "ghq_order", "ghq_order", 30, ((">=", 1), ("<=", 64)), integer=True),
+    _Field(None, "tail_epsilon", "tail_epsilon", 1e-6, _POSITIVE + (("<", 1),)),
+    _Field("mc", "n_photons", "mc_n_photons", 1_000_000, ((">=", 1),), integer=True),
+    _Field("mc", "n_bits", "mc_n_bits", 1_000_000, ((">=", 1),), integer=True),
+    _Field("mc", "seed", "mc_seed", 12345, ((">=", 0),), integer=True),
+    _Field("mc", "bin_width_s", "mc_bin_width_s", None, _POSITIVE),
+)
+"""Every scalar RunConfig value; it drives parsing, unknown-key checks and `to_dict`."""
+
+# Not RunConfig attributes: hops resolve to `hop_lengths_m`.
+_RELAY_COUNT = _Field("hops", "relay_count", "", None, ((">=", 0),), integer=True)
+_DISTANCE = _Field("hops", "end_to_end_distance_m", "", None, _POSITIVE)
+
+_TOP_LEVEL_KEYS = {f.section or f.key for f in _FIELDS} | {
+    "hops", "data_rates_bps", "power_shares", "methods",
+}
+_DEFAULT_METHODS = ("awgn_ghqf",)
 
 
 @dataclass(frozen=True)
@@ -130,55 +196,24 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Canonical nested form; `load_config` of this dict is a fixed point."""
-        return {
-            "water": {
-                "preset": self.water_preset,
-                "absorption": self.absorption,
-                "scattering": self.scattering,
-                "hg_asymmetry": self.hg_asymmetry,
-                "refractive_index": self.refractive_index,
-            },
-            "geometry": {
-                "aperture_diameter_m": self.aperture_diameter_m,
-                "half_angle_fov_deg": self.half_angle_fov_deg,
-                "beam_divergence_full_deg": self.beam_divergence_full_deg,
-                "wavelength_m": self.wavelength_m,
-            },
+        out = {
+            "water": {"preset": self.water_preset},
             "hops": {
                 "lengths_m": list(self.hop_lengths_m),
                 "relay_count": len(self.hop_lengths_m) - 1,
                 "end_to_end_distance_m": float(sum(self.hop_lengths_m)),
             },
             "turbulence": {
-                "chi_t": self.chi_t,
-                "epsilon_diss": self.epsilon_diss,
-                "w_ratio": self.w_ratio,
                 "sigma_x_sq": None if self.sigma_x_sq is None else list(self.sigma_x_sq),
             },
-            "noise": {
-                "background_rate_per_s": self.background_rate_per_s,
-                "dark_current_a": self.dark_current_a,
-                "receiver_temperature_k": self.receiver_temperature_k,
-                "load_resistance_ohm": self.load_resistance_ohm,
-                "quantum_efficiency": self.quantum_efficiency,
-            },
             "data_rates_bps": list(self.data_rates_bps),
-            "power_sweep_dbm": {
-                "start": self.sweep_start_dbm,
-                "stop": self.sweep_stop_dbm,
-                "step": self.sweep_step_db,
-            },
             "power_shares": None if self.power_shares is None else list(self.power_shares),
             "methods": list(self.methods),
-            "ghq_order": self.ghq_order,
-            "tail_epsilon": self.tail_epsilon,
-            "mc": {
-                "n_photons": self.mc_n_photons,
-                "n_bits": self.mc_n_bits,
-                "seed": self.mc_seed,
-                "bin_width_s": self.mc_bin_width_s,
-            },
         }
+        for f in _FIELDS:
+            node = out if f.section is None else out.setdefault(f.section, {})
+            node[f.key] = getattr(self, f.attr)
+        return out
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -244,73 +279,76 @@ class BerCurve:
             raise ValueError("ci bounds must match x in length")
 
 
-def _require_mapping(node, field: str, violations: list) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        violations.append(f"{field}: expected an object")
-        return {}
-    return node
-
-
-def _take_number(
-    node: dict,
-    key: str,
-    field: str,
-    violations: list,
-    *,
-    default=None,
-    minimum=None,
-    maximum=None,
-    exclusive_min=False,
-    allow_none=False,
-    integer=False,
-):
-    if key not in node or node[key] is None:
-        if key in node and node[key] is None and allow_none:
-            return None
-        if default is not None or allow_none:
-            return default
-        violations.append(f"{field}: missing required value")
-        return None
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{field}: expected a number, got {value!r}")
-        return default
-    if integer and not isinstance(value, int):
-        violations.append(f"{field}: expected an integer, got {value!r}")
-        return default
-    value = int(value) if integer else float(value)
-    if not math.isfinite(value):
-        violations.append(f"{field}: must be finite")
-        return default
-    if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-        op = ">" if exclusive_min else ">="
-        violations.append(f"{field}: must be {op} {minimum}, got {value}")
-        return default
-    if maximum is not None and value > maximum:
-        violations.append(f"{field}: must be <= {maximum}, got {value}")
-        return default
-    return value
-
-
 def _check_unknown_keys(node: dict, known, field: str, violations: list) -> None:
     for key in node:
         if key not in known:
             violations.append(f"{field}.{key}: unknown field")
 
 
-def _parse_water(node, violations: list):
-    node = _require_mapping(node, "water", violations)
-    _check_unknown_keys(
-        node, {"preset", "absorption", "scattering", "hg_asymmetry", "refractive_index"},
-        "water", violations,
+def _section(data: dict, name: str, violations: list, extra=()) -> dict:
+    """`data[name]` checked for unknown keys; empty when absent or not an object."""
+    node = data.get(name)
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        violations.append(f"{name}: expected an object")
+        return {}
+    known = {f.key for f in _FIELDS if f.section == name}.union(extra)
+    _check_unknown_keys(node, known, name, violations)
+    return node
+
+
+def _take_number(node: dict, field: _Field, violations: list):
+    """`field`'s value in `node`; its default when absent, null or in violation."""
+    value = node.get(field.key)
+    if value is None:
+        return field.default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = f"expected a number, got {value!r}"
+    elif field.integer and not isinstance(value, int):
+        problem = f"expected an integer, got {value!r}"
+    elif not math.isfinite(value):
+        problem = "must be finite"
+    else:
+        value = int(value) if field.integer else float(value)
+        problem = next(
+            (f"must be {op} {limit}, got {value}" for op, limit in field.bounds
+             if not _BOUND_CHECKS[op](value, limit)),
+            None,
+        )
+        if problem is None:
+            return value
+    violations.append(f"{field.name}: {problem}")
+    return field.default
+
+
+def _take_fields(node: dict, section: str | None, violations: list, keys=None) -> dict:
+    """RunConfig values of the table's fields in `section` (only `keys`, if given)."""
+    return {
+        f.attr: _take_number(node, f, violations)
+        for f in _FIELDS
+        if f.section == section and (keys is None or f.key in keys)
+    }
+
+
+def _is_number_list(value, length: int | None = None, *, positive: bool) -> bool:
+    """A list of `length` (or any nonzero count of) finite numbers > 0, or >= 0."""
+    return (
+        isinstance(value, list)
+        and (len(value) == length if length is not None else bool(value))
+        and all(
+            not isinstance(v, bool) and isinstance(v, (int, float))
+            and (v > 0 if positive else v >= 0) and math.isfinite(v)
+            for v in value
+        )
     )
+
+
+def _parse_water(data: dict, violations: list) -> dict:
+    node = _section(data, "water", violations, extra=("preset",))
+    coefficients = _take_fields(node, "water", violations, keys=("absorption", "scattering"))
+    absorption, scattering = coefficients["absorption"], coefficients["scattering"]
     preset = node.get("preset")
-    absorption = _take_number(node, "absorption", "water.absorption", violations,
-                              default=None, minimum=0.0, allow_none=True)
-    scattering = _take_number(node, "scattering", "water.scattering", violations,
-                              default=None, minimum=0.0, allow_none=True)
     if preset is not None:
         if preset not in WATER_PRESETS:
             known = ", ".join(sorted(WATER_PRESETS))
@@ -327,38 +365,27 @@ def _parse_water(node, violations: list):
                     f"water.scattering: {scattering} conflicts with preset {preset!r} ({b0})"
                 )
             absorption, scattering = a0, b0
-    if absorption is None or scattering is None:
-        if preset is None:
-            violations.append("water: give either a preset or absorption and scattering")
-        absorption = absorption if absorption is not None else 0.0
-        scattering = scattering if scattering is not None else 0.0
-    hg = _take_number(node, "hg_asymmetry", "water.hg_asymmetry", violations, default=0.924)
-    if hg is not None and not (-1.0 < hg < 1.0):
-        violations.append(f"water.hg_asymmetry: must be in (-1, 1), got {hg}")
-        hg = 0.924
-    refr = _take_number(node, "refractive_index", "water.refractive_index", violations,
-                        default=1.331, minimum=1.0)
-    return preset, absorption, scattering, hg, refr
+    if preset is None and (absorption is None or scattering is None):
+        violations.append("water: give either a preset or absorption and scattering")
+    return {
+        "water_preset": preset,
+        "absorption": absorption,
+        "scattering": scattering,
+        **_take_fields(node, "water", violations, keys=("hg_asymmetry", "refractive_index")),
+    }
 
 
-def _parse_hops(node, violations: list) -> tuple[float, ...]:
-    node = _require_mapping(node, "hops", violations)
+def _parse_hops(data: dict, violations: list) -> tuple[float, ...]:
+    node = _section(data, "hops", violations,
+                    extra=("lengths_m", _RELAY_COUNT.key, _DISTANCE.key))
     if not node:
         violations.append("hops: missing (give lengths_m or relay_count + end_to_end_distance_m)")
         return (1.0,)
-    _check_unknown_keys(
-        node, {"lengths_m", "relay_count", "end_to_end_distance_m"}, "hops", violations
-    )
     lengths = node.get("lengths_m")
-    relay_count = _take_number(node, "relay_count", "hops.relay_count", violations,
-                               default=None, minimum=0, allow_none=True, integer=True)
-    distance = _take_number(node, "end_to_end_distance_m", "hops.end_to_end_distance_m",
-                            violations, default=None, exclusive_min=True, minimum=0.0,
-                            allow_none=True)
+    relay_count = _take_number(node, _RELAY_COUNT, violations)
+    distance = _take_number(node, _DISTANCE, violations)
     if lengths is not None:
-        if (not isinstance(lengths, list) or not lengths
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
-                       or not math.isfinite(float(v)) for v in lengths)):
+        if not _is_number_list(lengths, positive=True):
             violations.append("hops.lengths_m: expected a nonempty list of positive numbers")
             return (1.0,)
         lengths = tuple(float(v) for v in lengths)
@@ -379,206 +406,89 @@ def _parse_hops(node, violations: list) -> tuple[float, ...]:
     return tuple([distance / n_hops] * n_hops)
 
 
-def _parse_turbulence(node, n_hops: int, violations: list):
-    node = _require_mapping(node, "turbulence", violations)
-    _check_unknown_keys(
-        node, {"chi_t", "epsilon_diss", "w_ratio", "sigma_x_sq"}, "turbulence", violations
-    )
+def _parse_turbulence(data: dict, n_hops: int, violations: list) -> dict:
+    node = _section(data, "turbulence", violations, extra=("sigma_x_sq",))
     sigma = node.get("sigma_x_sq")
-    has_spectrum = any(node.get(k) is not None for k in ("chi_t", "epsilon_diss", "w_ratio"))
-    if sigma is not None:
-        if has_spectrum:
-            violations.append("turbulence: give either sigma_x_sq or spectrum parameters, not both")
-        if isinstance(sigma, (int, float)) and not isinstance(sigma, bool):
-            sigma = [float(sigma)] * n_hops
-        if (not isinstance(sigma, list) or len(sigma) != n_hops
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0
-                       or not math.isfinite(float(v)) for v in sigma)):
-            violations.append(
-                f"turbulence.sigma_x_sq: expected a number or a list of {n_hops} numbers >= 0"
-            )
-            return None, None, None, (0.0,) * n_hops
-        return None, None, None, tuple(float(v) for v in sigma)
-    defaults = _DEFAULTS["turbulence"]
-    chi_t = _take_number(node, "chi_t", "turbulence.chi_t", violations,
-                         default=defaults["chi_t"], minimum=0.0)
-    eps = _take_number(node, "epsilon_diss", "turbulence.epsilon_diss", violations,
-                       default=defaults["epsilon_diss"], minimum=0.0, exclusive_min=True)
-    w = _take_number(node, "w_ratio", "turbulence.w_ratio", violations,
-                     default=defaults["w_ratio"])
-    if w is not None and w >= 0.0:
-        violations.append(f"turbulence.w_ratio: must be < 0, got {w}")
-        w = defaults["w_ratio"]
-    return chi_t, eps, w, None
-
-
-def _parse_methods(value, violations: list) -> tuple[str, ...]:
-    if value is None:
-        return tuple(_DEFAULTS["methods"])
-    if not isinstance(value, list) or not value:
-        violations.append("methods: expected a nonempty list")
-        return tuple(_DEFAULTS["methods"])
-    bad = [m for m in value if m not in SWEEP_METHODS]
-    if bad:
-        known = ", ".join(SWEEP_METHODS)
-        violations.append(f"methods: unknown entries {bad}; expected among: {known}")
-    if len(set(value)) != len(value):
-        violations.append("methods: duplicate entries")
-    methods = tuple(m for m in value if m in SWEEP_METHODS)
-    return methods or tuple(_DEFAULTS["methods"])
+    if sigma is None:
+        return {"sigma_x_sq": None, **_take_fields(node, "turbulence", violations)}
+    spectrum = [f for f in _FIELDS if f.section == "turbulence"]
+    if any(node.get(f.key) is not None for f in spectrum):
+        violations.append("turbulence: give either sigma_x_sq or spectrum parameters, not both")
+    if isinstance(sigma, (int, float)) and not isinstance(sigma, bool):
+        sigma = [sigma] * n_hops
+    if not _is_number_list(sigma, n_hops, positive=False):
+        violations.append(
+            f"turbulence.sigma_x_sq: expected a number or a list of {n_hops} numbers >= 0"
+        )
+        sigma = ()
+    return {"sigma_x_sq": tuple(float(v) for v in sigma), **{f.attr: None for f in spectrum}}
 
 
 def _config_from_dict(data: dict) -> RunConfig:
     violations: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    known_top = {
-        "water", "geometry", "hops", "turbulence", "noise", "data_rates_bps",
-        "power_sweep_dbm", "power_shares", "methods", "ghq_order", "tail_epsilon", "mc",
-    }
-    _check_unknown_keys(data, known_top, "config", violations)
+    _check_unknown_keys(data, _TOP_LEVEL_KEYS, "config", violations)
 
-    preset, absorption, scattering, hg, refr = _parse_water(data.get("water"), violations)
-
-    geo = _require_mapping(data.get("geometry"), "geometry", violations)
-    gdef = _DEFAULTS["geometry"]
-    _check_unknown_keys(geo, set(gdef), "geometry", violations)
-    aperture = _take_number(geo, "aperture_diameter_m", "geometry.aperture_diameter_m",
-                            violations, default=gdef["aperture_diameter_m"],
-                            minimum=0.0, exclusive_min=True)
-    fov = _take_number(geo, "half_angle_fov_deg", "geometry.half_angle_fov_deg",
-                       violations, default=gdef["half_angle_fov_deg"],
-                       minimum=0.0, exclusive_min=True, maximum=90.0)
-    divergence = _take_number(geo, "beam_divergence_full_deg",
-                              "geometry.beam_divergence_full_deg", violations,
-                              default=gdef["beam_divergence_full_deg"], minimum=0.0)
-    wavelength = _take_number(geo, "wavelength_m", "geometry.wavelength_m", violations,
-                              default=gdef["wavelength_m"], minimum=0.0, exclusive_min=True)
-
-    hop_lengths = _parse_hops(data.get("hops"), violations)
-    chi_t, eps_diss, w_ratio, sigma_x_sq = _parse_turbulence(
-        data.get("turbulence"), len(hop_lengths), violations
-    )
-
-    noise = _require_mapping(data.get("noise"), "noise", violations)
-    ndef = _DEFAULTS["noise"]
-    _check_unknown_keys(noise, set(ndef), "noise", violations)
-    background = _take_number(noise, "background_rate_per_s", "noise.background_rate_per_s",
-                              violations, default=ndef["background_rate_per_s"], minimum=0.0)
-    dark = _take_number(noise, "dark_current_a", "noise.dark_current_a", violations,
-                        default=ndef["dark_current_a"], minimum=0.0)
-    temperature = _take_number(noise, "receiver_temperature_k", "noise.receiver_temperature_k",
-                               violations, default=ndef["receiver_temperature_k"],
-                               minimum=0.0, exclusive_min=True)
-    resistance = _take_number(noise, "load_resistance_ohm", "noise.load_resistance_ohm",
-                              violations, default=ndef["load_resistance_ohm"],
-                              minimum=0.0, exclusive_min=True)
-    efficiency = _take_number(noise, "quantum_efficiency", "noise.quantum_efficiency",
-                              violations, default=ndef["quantum_efficiency"],
-                              minimum=0.0, exclusive_min=True, maximum=1.0)
+    values = _parse_water(data, violations)
+    values.update(_take_fields(_section(data, "geometry", violations), "geometry", violations))
+    hop_lengths = _parse_hops(data, violations)
+    values.update(_parse_turbulence(data, len(hop_lengths), violations))
+    values.update(_take_fields(_section(data, "noise", violations), "noise", violations))
 
     rates = data.get("data_rates_bps")
     if rates is None:
         violations.append("data_rates_bps: missing required list of data rates")
-        rates = (1e9,)
-    elif (not isinstance(rates, list) or not rates
-          or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
-                 or not math.isfinite(float(v)) for v in rates)):
+    elif not _is_number_list(rates, positive=True):
         violations.append("data_rates_bps: expected a nonempty list of positive numbers")
-        rates = (1e9,)
-    else:
-        if len(set(rates)) != len(rates):
-            violations.append("data_rates_bps: duplicate entries")
-        rates = tuple(float(v) for v in rates)
+    elif len(set(rates)) != len(rates):
+        violations.append("data_rates_bps: duplicate entries")
 
-    sweep = _require_mapping(data.get("power_sweep_dbm"), "power_sweep_dbm", violations)
-    sdef = _DEFAULTS["power_sweep_dbm"]
-    _check_unknown_keys(sweep, set(sdef), "power_sweep_dbm", violations)
-    start = _take_number(sweep, "start", "power_sweep_dbm.start", violations,
-                         default=sdef["start"])
-    stop = _take_number(sweep, "stop", "power_sweep_dbm.stop", violations,
-                        default=sdef["stop"])
-    step = _take_number(sweep, "step", "power_sweep_dbm.step", violations,
-                        default=sdef["step"])
-    if start is not None and stop is not None and start >= stop:
+    sweep = _take_fields(
+        _section(data, "power_sweep_dbm", violations), "power_sweep_dbm", violations
+    )
+    start, stop, step = sweep["sweep_start_dbm"], sweep["sweep_stop_dbm"], sweep["sweep_step_db"]
+    if start >= stop:
         violations.append(f"power_sweep_dbm.start: must be < stop, got {start} >= {stop}")
-    if step is not None and step <= 0.0:
+    if step <= 0.0:
         violations.append(f"power_sweep_dbm.step: must be > 0, got {step}")
-        step = sdef["step"]
+    values.update(sweep)
 
     shares = data.get("power_shares")
     if shares is not None:
-        if (not isinstance(shares, list) or len(shares) != len(hop_lengths)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0
-                       or not math.isfinite(float(v)) for v in shares)):
+        if not _is_number_list(shares, len(hop_lengths), positive=False):
             violations.append(
                 f"power_shares: expected a list of {len(hop_lengths)} numbers >= 0"
             )
-            shares = None
         elif abs(sum(float(v) for v in shares) - 1.0) > 1e-9:
             violations.append(f"power_shares: must sum to 1, got {sum(shares)}")
-            shares = None
         else:
             shares = tuple(float(v) for v in shares)
 
-    methods = _parse_methods(data.get("methods"), violations)
-    ghq_order = _take_number({"v": data.get("ghq_order")}, "v", "ghq_order", violations,
-                             default=_DEFAULTS["ghq_order"], minimum=1, maximum=64,
-                             integer=True)
-    tail_eps = _take_number({"v": data.get("tail_epsilon")}, "v", "tail_epsilon", violations,
-                            default=_DEFAULTS["tail_epsilon"], minimum=0.0,
-                            exclusive_min=True)
-    if tail_eps is not None and tail_eps >= 1.0:
-        violations.append(f"tail_epsilon: must be < 1, got {tail_eps}")
-        tail_eps = _DEFAULTS["tail_epsilon"]
+    methods = data.get("methods")
+    if methods is None:
+        methods = _DEFAULT_METHODS
+    elif not isinstance(methods, list) or not methods:
+        violations.append("methods: expected a nonempty list")
+    else:
+        unknown = [m for m in methods if m not in SWEEP_METHODS]
+        if unknown:
+            known = ", ".join(SWEEP_METHODS)
+            violations.append(f"methods: unknown entries {unknown}; expected among: {known}")
+        if len(set(methods)) != len(methods):
+            violations.append("methods: duplicate entries")
 
-    mc = _require_mapping(data.get("mc"), "mc", violations)
-    mdef = _DEFAULTS["mc"]
-    _check_unknown_keys(mc, set(mdef), "mc", violations)
-    n_photons = _take_number(mc, "n_photons", "mc.n_photons", violations,
-                             default=mdef["n_photons"], minimum=1, integer=True)
-    n_bits = _take_number(mc, "n_bits", "mc.n_bits", violations,
-                          default=mdef["n_bits"], minimum=1, integer=True)
-    seed = _take_number(mc, "seed", "mc.seed", violations,
-                        default=mdef["seed"], minimum=0, integer=True)
-    bin_width = _take_number(mc, "bin_width_s", "mc.bin_width_s", violations,
-                             default=None, minimum=0.0, exclusive_min=True, allow_none=True)
+    values.update(_take_fields(data, None, violations))
+    values.update(_take_fields(_section(data, "mc", violations), "mc", violations))
 
     if violations:
         raise ConfigError("invalid configuration: " + "; ".join(violations), violations)
-
     return RunConfig(
-        water_preset=preset,
-        absorption=absorption,
-        scattering=scattering,
-        hg_asymmetry=hg,
-        refractive_index=refr,
-        aperture_diameter_m=aperture,
-        half_angle_fov_deg=fov,
-        beam_divergence_full_deg=divergence,
-        wavelength_m=wavelength,
         hop_lengths_m=hop_lengths,
-        chi_t=chi_t,
-        epsilon_diss=eps_diss,
-        w_ratio=w_ratio,
-        sigma_x_sq=sigma_x_sq,
-        background_rate_per_s=background,
-        dark_current_a=dark,
-        receiver_temperature_k=temperature,
-        load_resistance_ohm=resistance,
-        quantum_efficiency=efficiency,
-        data_rates_bps=rates,
-        sweep_start_dbm=start,
-        sweep_stop_dbm=stop,
-        sweep_step_db=step,
+        data_rates_bps=tuple(float(v) for v in rates),
         power_shares=shares,
-        methods=methods,
-        ghq_order=ghq_order,
-        tail_epsilon=tail_eps,
-        mc_n_photons=n_photons,
-        mc_n_bits=n_bits,
-        mc_seed=seed,
-        mc_bin_width_s=bin_width,
+        methods=tuple(methods),
+        **values,
     )
 
 
