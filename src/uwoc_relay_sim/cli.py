@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -350,7 +350,7 @@ def _parse_water(data: dict, violations: list) -> dict:
     absorption, scattering = coefficients["absorption"], coefficients["scattering"]
     preset = node.get("preset")
     if preset is not None:
-        if preset not in WATER_PRESETS:
+        if not isinstance(preset, str) or preset not in WATER_PRESETS:
             known = ", ".join(sorted(WATER_PRESETS))
             violations.append(f"water.preset: unknown preset {preset!r}; expected one of: {known}")
             preset = None
@@ -475,7 +475,7 @@ def _config_from_dict(data: dict) -> RunConfig:
         if unknown:
             known = ", ".join(SWEEP_METHODS)
             violations.append(f"methods: unknown entries {unknown}; expected among: {known}")
-        if len(set(methods)) != len(methods):
+        if any(methods.count(m) > 1 for m in methods):
             violations.append("methods: duplicate entries")
 
     values.update(_take_fields(data, None, violations))
@@ -498,9 +498,10 @@ def load_config(path) -> RunConfig:
     All semantic violations are collected and reported together, each
     naming the offending field.
     """
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config parse error in {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -809,7 +810,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if getattr(args, "seed", None) is not None:
-            cfg = replace(cfg, mc_seed=args.seed)
+            # Validated like mc.seed in the file: the override is a config value.
+            data = cfg.to_dict()
+            data["mc"]["seed"] = args.seed
+            cfg = _config_from_dict(data)
         if args.command == "validate":
             print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
             return 0

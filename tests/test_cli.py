@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,15 @@ def test_config_parse_error_names_location(tmp_path):
         load_config(path)
 
 
+def test_config_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"water": {"preset": "côtier"}}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"config parse error in {path}: ")):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "configuration error: config parse error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run_sweep and emit_curves
 # ---------------------------------------------------------------------------
@@ -340,6 +350,17 @@ def test_cli_run_seed_override_lands_in_report(tmp_path, capsys):
     assert report["config"]["mc"]["seed"] == 999
 
 
+@pytest.mark.parametrize("command", ["run", "channel"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, TINY_SWEEP)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "mc.seed: must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_cli_channel_writes_parseable_responses(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_SWEEP)
     out = tmp_path / "chan"
@@ -444,6 +465,8 @@ CROSS_FIELD_CASES = {
     "water.preset harbor": {**MINIMAL, "water": {"preset": "harbor"}},
     "water.preset unknown": {**MINIMAL, "water": {"preset": "ocean"}},
     "water.preset number": {**MINIMAL, "water": {"preset": 5}},
+    "water.preset list": {**MINIMAL, "water": {"preset": ["coastal"]}},
+    "water.preset object": {**MINIMAL, "water": {"preset": {"a": 1}}},
     "water.preset null": {**MINIMAL, "water": {"preset": None, "absorption": 0.1,
                                                "scattering": 0.02}},
     "water.preset matching coefficients": {
@@ -556,6 +579,9 @@ CROSS_FIELD_CASES = {
     "methods number": {**MINIMAL, "methods": [5]},
     "methods duplicate": {**MINIMAL, "methods": ["awgn_ghqf", "awgn_ghqf"]},
     "methods duplicate unknown": {**MINIMAL, "methods": ["bogus", "bogus"]},
+    "methods object": {**MINIMAL, "methods": [{"a": 1}]},
+    "methods nested list": {**MINIMAL, "methods": [["awgn_ghqf"]]},
+    "methods duplicate object": {**MINIMAL, "methods": [{"a": 1}, {"a": 1}]},
     "methods unknown among known": {**MINIMAL, "methods": ["gaussian", "bogus", "montecarlo"]},
     "methods montecarlo": {**MINIMAL, "methods": ["montecarlo"]},
 }
