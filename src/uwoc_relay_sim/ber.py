@@ -42,7 +42,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
-from .channel import BitEnergies
+from .channel import DEFAULT_WAVELENGTH, BitEnergies
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
 from .errors import ConvergenceError
 from .turbulence import FadingModel, GhqRule, ghq_rule
@@ -85,7 +85,6 @@ DEFAULT_DARK_CURRENT = 1.226e-9
 DEFAULT_RECEIVER_TEMPERATURE = 290.0
 DEFAULT_LOAD_RESISTANCE = 100.0
 DEFAULT_QUANTUM_EFFICIENCY = 0.8
-DEFAULT_WAVELENGTH = 532e-9
 
 
 def _q(x):

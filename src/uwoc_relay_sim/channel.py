@@ -55,6 +55,7 @@ WATER_PRESETS = {
 
 DEFAULT_HG_ASYMMETRY = 0.924
 DEFAULT_REFRACTIVE_INDEX = 1.331
+DEFAULT_WAVELENGTH = 532e-9
 
 DEFAULT_WEIGHT_FLOOR = 1e-6
 """Photon weight below which tracing stops; bounds runtime in turbid water."""
@@ -138,7 +139,7 @@ class LinkGeometry:
     aperture_diameter: float = 0.2
     half_angle_fov: float = 40.0
     beam_divergence_full: float = 0.02
-    wavelength: float = 532e-9
+    wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.distance) and self.distance > 0.0):

@@ -536,8 +536,14 @@ def _hop_sigmas(cfg: RunConfig) -> list[float]:
     return [cache[d] for d in cfg.hop_lengths_m]
 
 
-def _impulse_responses(cfg: RunConfig, bin_width: float) -> dict[float, ImpulseResponse]:
-    """One impulse response per distinct hop length (power-independent)."""
+def _impulse_responses(cfg: RunConfig) -> dict[float, ImpulseResponse]:
+    """One impulse response per distinct hop length (power-independent).
+
+    Bins are `mc.bin_width_s` wide, or a tenth of the shortest bit.
+    """
+    bin_width = cfg.mc_bin_width_s
+    if bin_width is None:
+        bin_width = (1.0 / max(cfg.data_rates_bps)) / 10.0
     water = cfg.water_properties()
     cache: dict[float, ImpulseResponse] = {}
     for i, d in enumerate(sorted(set(cfg.hop_lengths_m))):
@@ -580,15 +586,8 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
         raise ValueError(f"threads must be >= 1, got {threads}")
     sigmas = _hop_sigmas(cfg)
     fading = [FadingModel(sigma_x_sq=s) for s in sigmas]
-    min_bit_duration = 1.0 / max(cfg.data_rates_bps)
-    bin_width = cfg.mc_bin_width_s if cfg.mc_bin_width_s is not None else min_bit_duration / 10.0
-    responses = _impulse_responses(cfg, bin_width)
+    responses = _impulse_responses(cfg)
     ghq = ghq_rule(cfg.ghq_order)
-    shares = (
-        list(cfg.power_shares)
-        if cfg.power_shares is not None
-        else [1.0 / len(cfg.hop_lengths_m)] * len(cfg.hop_lengths_m)
-    )
     powers_dbm = cfg.power_points_dbm()
     single_rate = len(cfg.data_rates_bps) == 1
     base_metadata = {
@@ -618,7 +617,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
                 noise,
                 total_power_per_bit=power_w,
                 data_rate=rate,
-                power_shares=shares,
+                power_shares=cfg.power_shares,
                 quantum_efficiency=cfg.quantum_efficiency,
                 wavelength=cfg.wavelength_m,
             )
@@ -751,9 +750,7 @@ def emit_curves(curves: list[BerCurve], format: str, out_path) -> list[Path]:
 
 
 def _emit_impulse_responses(cfg: RunConfig, out_path) -> list[Path]:
-    min_bit_duration = 1.0 / max(cfg.data_rates_bps)
-    bin_width = cfg.mc_bin_width_s if cfg.mc_bin_width_s is not None else min_bit_duration / 10.0
-    responses = _impulse_responses(cfg, bin_width)
+    responses = _impulse_responses(cfg)
     out_dir = Path(out_path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

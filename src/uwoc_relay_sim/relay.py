@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ber import CountScale, GhqRule, HopBerInputs, hop_average_ber
+from .ber import (
+    DEFAULT_QUANTUM_EFFICIENCY,
+    CountScale,
+    GhqRule,
+    HopBerInputs,
+    hop_average_ber,
+)
+from .channel import DEFAULT_WAVELENGTH
 from .errors import ConvergenceError
 
 __all__ = [
@@ -109,8 +116,8 @@ class RelayChain:
         data_rate: float,
         power_shares=None,
         *,
-        quantum_efficiency: float = 0.8,
-        wavelength: float = 532e-9,
+        quantum_efficiency: float = DEFAULT_QUANTUM_EFFICIENCY,
+        wavelength: float = DEFAULT_WAVELENGTH,
     ) -> "RelayChain":
         """Build a chain whose count scales follow from the power split.
 
