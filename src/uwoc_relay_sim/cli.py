@@ -108,7 +108,7 @@ _BOUND_CHECKS = {
 
 _NONNEGATIVE = ((">=", 0.0),)
 _POSITIVE = ((">", 0.0),)
-_LINK = {f.name: f.default for f in fields(LinkGeometry)}
+_LINK_DEFAULTS = {f.name: f.default for f in fields(LinkGeometry)}
 
 _FIELDS = (
     _Field("water", "absorption", "absorption", None, _NONNEGATIVE),
@@ -117,12 +117,12 @@ _FIELDS = (
     _Field("water", "refractive_index", "refractive_index", DEFAULT_REFRACTIVE_INDEX,
            ((">=", 1.0),)),
     _Field("geometry", "aperture_diameter_m", "aperture_diameter_m",
-           _LINK["aperture_diameter"], _POSITIVE),
+           _LINK_DEFAULTS["aperture_diameter"], _POSITIVE),
     _Field("geometry", "half_angle_fov_deg", "half_angle_fov_deg",
-           _LINK["half_angle_fov"], _POSITIVE + (("<=", 90.0),)),
+           _LINK_DEFAULTS["half_angle_fov"], _POSITIVE + (("<=", 90.0),)),
     _Field("geometry", "beam_divergence_full_deg", "beam_divergence_full_deg",
-           _LINK["beam_divergence_full"], _NONNEGATIVE),
-    _Field("geometry", "wavelength_m", "wavelength_m", _LINK["wavelength"], _POSITIVE),
+           _LINK_DEFAULTS["beam_divergence_full"], _NONNEGATIVE),
+    _Field("geometry", "wavelength_m", "wavelength_m", _LINK_DEFAULTS["wavelength"], _POSITIVE),
     _Field("turbulence", "chi_t", "chi_t", 2e-7, _NONNEGATIVE),
     _Field("turbulence", "epsilon_diss", "epsilon_diss", 1.5e-5, _POSITIVE),
     _Field("turbulence", "w_ratio", "w_ratio", -2.5, (("<", 0),)),
@@ -146,7 +146,7 @@ _FIELDS = (
     _Field("mc", "seed", "mc_seed", 12345, ((">=", 0),), integer=True),
     _Field("mc", "bin_width_s", "mc_bin_width_s", None, _POSITIVE),
 )
-"""Every scalar RunConfig value; it drives parsing, unknown-key checks and `to_dict`."""
+"""Every scalar RunConfig field; it drives parsing, unknown-key checks and `to_dict`."""
 
 # Not RunConfig attributes: hops resolve to `hop_lengths_m`.
 _RELAY_COUNT = _Field("hops", "relay_count", "", None, ((">=", 0),), integer=True)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ber import (
-    DEFAULT_QUANTUM_EFFICIENCY,
-    CountScale,
-    GhqRule,
-    HopBerInputs,
-    hop_average_ber,
-)
+from .ber import DEFAULT_QUANTUM_EFFICIENCY, CountScale, GhqRule, HopBerInputs, hop_average_ber
 from .channel import DEFAULT_WAVELENGTH
 from .errors import ConvergenceError
 
