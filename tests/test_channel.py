@@ -8,6 +8,7 @@ against a dense midpoint-rule convolution.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,60 @@ def test_frozen_impulse_response_regression(ir_coastal_22p5, ir_coastal_45, ir_c
     assert ir_coastal_22p5.total_fraction == pytest.approx(1.815543e-4, rel=5e-6)
     assert ir_coastal_45.energy_fraction.size == 556
     assert ir_coastal_45.total_fraction == pytest.approx(2.424435e-8, rel=5e-6)
+
+
+# Byte pins for small traces that together reach every branch of the
+# tracer: each water preset at two lengths with and without ballistic
+# splitting, lossless water both ways, an exactly on-axis launch (every
+# first scatter takes the near-pole rotation), fine bins merged over
+# several batches, a weight floor that cuts photons which would otherwise
+# arrive, and a trace that receives nothing. Any change to the arithmetic
+# or to the order of random draws moves a digest. The digests hold for
+# one numpy build on one CPU family; a different exp/log implementation
+# may move the last bits.
+FROZEN_TRACE_N = 20_000
+FROZEN_TRACES = {
+    # name: (water, LinkGeometry fields, seed, simulate_impulse_response options, size, sha256)
+    "clear-9m-split": ("clear", {"distance": 9.0}, 7, {}, 8, "82ac3e5188b434ab5681d47c42e83922f0d621182b4cc1c2dd5c8a866560116c"),
+    "clear-9m-analog": ("clear", {"distance": 9.0}, 7, {"ballistic_splitting": False}, 17, "bd31a868e11f7dd441f26ac578931f8b3735e1f247d4eeaac8e1a01e36f00f98"),
+    "clear-22.5m-split": ("clear", {"distance": 22.5}, 7, {}, 5, "7703840203f36a6983430f3eb7eff24c340473efd90324d212509e95ce28b08f"),
+    "clear-22.5m-analog": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False}, 22, "f69cddcfb60d76ab33a3e0fb2997192227250161156b844fd07e0f8451ec2b5f"),
+    "coastal-9m-split": ("coastal", {"distance": 9.0}, 7, {}, 10, "c37d429e0a916e9d55a6eaa4d02616127fb2a23ba7d02a00ca85fe365e622cca"),
+    "coastal-9m-analog": ("coastal", {"distance": 9.0}, 7, {"ballistic_splitting": False}, 9, "09e6ec5561bed38bd06f572090900e6b49da0935354648f37b0e8002335e1b81"),
+    "coastal-22.5m-split": ("coastal", {"distance": 22.5}, 7, {}, 13, "fb3251379d8e4000e00ac18349f869cdc6badc3a70ec29faf254b9eed759812f"),
+    "coastal-22.5m-analog": ("coastal", {"distance": 22.5}, 7, {"ballistic_splitting": False}, 1, "865c4c5a2f901cdedea6f73d7571fca895eb4f6319a49d1f099b5fbfb51ff5eb"),
+    "harbor-9m-split": ("harbor", {"distance": 9.0}, 7, {}, 62, "47590c8e65614ad393cf83470d1f49d97dfe07b75adee8a8785509c5edda64f7"),
+    "harbor-9m-analog": ("harbor", {"distance": 9.0}, 7, {"ballistic_splitting": False}, 44, "cdeefb54e97df2a9cbadd0ce07385df5901e8531a8ec4323339da0d219326850"),
+    "harbor-22.5m-split": ("harbor", {"distance": 22.5}, 7, {}, 1, "3bc156bdf60627c9cb820df73c5cb183cbb11b09483cad198e27505c9e26b323"),
+    "harbor-22.5m-analog": ("harbor", {"distance": 22.5}, 7, {"ballistic_splitting": False}, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    "lossless-split": ("lossless", {"distance": 5.0}, 3, {}, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    "lossless-analog": ("lossless", {"distance": 5.0}, 3, {"ballistic_splitting": False}, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    "zero-divergence": ("coastal", {"distance": 9.0, "beam_divergence_full": 0.0}, 7, {}, 10, "09ef06804c4966aa258ac768ec1d3dcd8e0e1e8f3a4214d53e674040ad595453"),
+    "fine-bins-small-batches": ("coastal", {"distance": 22.5}, 7, {"bin_width": 1e-11, "batch_size": 7000}, 165, "faee49ec66022819a20e87e29c0f8dd84eb8ea471828f2c50856ecf218057be2"),
+    "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "weight_floor": 1e-3}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
+    "harbor-60m-empty": ("harbor", {"distance": 60.0}, 1, {"ballistic_splitting": False, "n_photons": 1_000}, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_TRACES))
+def test_trace_bytes_are_frozen(name):
+    water_name, geometry, seed, options, size, digest = FROZEN_TRACES[name]
+    options = dict(options)
+    water = (
+        u.WaterProperties(absorption=0.0, scattering=0.0)
+        if water_name == "lossless"
+        else u.WaterProperties.preset(water_name)
+    )
+    ir = u.simulate_impulse_response(
+        u.LinkGeometry(**geometry),
+        water,
+        options.pop("n_photons", FROZEN_TRACE_N),
+        options.pop("bin_width", 1e-10),
+        rng_seed=seed,
+        **options,
+    )
+    assert ir.energy_fraction.size == size
+    assert hashlib.sha256(ir.energy_fraction.tobytes()).hexdigest() == digest
 
 
 def test_determinism_and_seed_sensitivity():
