@@ -262,15 +262,24 @@ def _rotate_directions(ux, uy, uz, cos_t, phi):
     cos_p = np.cos(phi)
     sin_p = np.sin(phi)
     denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
-    near_pole = np.abs(uz) > 0.999999
     nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
     ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
     nz = -sin_t * cos_p * denom + uz * cos_t
-    nx = np.where(near_pole, sin_t * cos_p, nx)
-    ny = np.where(near_pole, sin_t * sin_p, ny)
-    nz = np.where(near_pole, np.sign(uz) * cos_t, nz)
+    # Along the z axis the frame above is undefined; rotate about z instead.
+    pole = np.flatnonzero(np.abs(uz) > 0.999999)
+    nx[pole] = sin_t[pole] * cos_p[pole]
+    ny[pole] = sin_t[pole] * sin_p[pole]
+    nz[pole] = np.sign(uz[pole]) * cos_t[pole]
     norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     return nx / norm, ny / norm, nz / norm
+
+
+def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Sum two histograms that share bin 0; the result may reuse either array."""
+    if part.size > total.size:
+        total, part = part, total
+    total[: part.size] += part
+    return total
 
 
 def _trace_batch(
@@ -293,17 +302,22 @@ def _trace_batch(
     t_start = d * n_water / SPEED_OF_LIGHT
     hist = np.zeros(1)
 
-    def deposit(weights: np.ndarray, arrival_times: np.ndarray) -> None:
+    def receive(crossed: np.ndarray, weights: np.ndarray) -> None:
+        """Deposit the photons in mask `crossed`, which reach the plane on
+        the current flight, that land inside the aperture and field of
+        view; `weights` holds one weight per crossing photon."""
         nonlocal hist
+        s = s_plane[crossed]
+        xc = x[crossed] + s * ux[crossed]
+        yc = y[crossed] + s * uy[crossed]
+        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[crossed] >= cos_fov)
+        if not ok.any():
+            return
+        arrival_times = (path[crossed][ok] + s[ok]) * n_water / SPEED_OF_LIGHT
         bins = np.floor((arrival_times - t_start) / bin_width).astype(np.int64)
         # Guard against -1 from float cancellation right at t_start.
         bins = np.maximum(bins, 0)
-        counts = np.bincount(bins, weights=weights, minlength=hist.size)
-        if counts.size > hist.size:
-            counts[: hist.size] += hist
-            hist = counts
-        else:
-            hist[: counts.size] += counts
+        hist = _add_histograms(hist, np.bincount(bins, weights=weights[ok]))
 
     # Launch: uniform cone of half angle theta_half around +z.
     cos_l = 1.0 - rng.random(n) * (1.0 - math.cos(theta_half))
@@ -318,80 +332,43 @@ def _trace_batch(
     w = np.ones(n)
     path = np.zeros(n)
 
-    first_flight = True
+    # Lossless water has no interactions, so its analytic first flight is
+    # the whole trace (and exp(-c s) is exactly 1).
+    analytic_flight = ballistic_splitting or c == 0.0
     while x.size:
-        s_plane = np.where(uz > 0.0, (d - z) / np.where(uz > 0.0, uz, 1.0), np.inf)
-        if first_flight and ballistic_splitting:
+        s_plane = np.divide(d - z, uz, out=np.full(x.size, np.inf), where=uz > 0.0)
+        if analytic_flight:
             # Never-scattered contribution integrated analytically, then the
             # first interaction is forced to happen before the plane with
             # the complementary weight. Unbiased; kills the exp(-c d)
             # rare-arrival variance that dominates long hops.
-            p_ballistic = np.exp(-c * s_plane) if c > 0.0 else np.ones_like(s_plane)
-            xc = x + s_plane * ux
-            yc = y + s_plane * uy
-            ok = (
-                np.isfinite(s_plane)
-                & (xc * xc + yc * yc <= r_ap * r_ap)
-                & (uz >= cos_fov)
-            )
-            if ok.any():
-                deposit(
-                    w[ok] * p_ballistic[ok],
-                    (path[ok] + s_plane[ok]) * n_water / SPEED_OF_LIGHT,
-                )
+            crossed = np.isfinite(s_plane)
+            receive(crossed, w[crossed] * np.exp(-c * s_plane[crossed]))
             if c == 0.0:
                 break
-            u = rng.random(x.size)
             p_interact = -np.expm1(-c * s_plane)
-            step = -np.log1p(-u * p_interact) / c
+            step = -np.log1p(-rng.random(x.size) * p_interact) / c
             w = w * p_interact
-            crossed = np.zeros(x.size, dtype=bool)
-        elif c == 0.0:
-            # Lossless straight flight: only the plane crossing matters.
-            crossed = np.isfinite(s_plane)
-            sc = s_plane[crossed]
-            xc = x[crossed] + sc * ux[crossed]
-            yc = y[crossed] + sc * uy[crossed]
-            ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[crossed] >= cos_fov)
-            if ok.any():
-                deposit(
-                    w[crossed][ok],
-                    (path[crossed][ok] + sc[ok]) * n_water / SPEED_OF_LIGHT,
-                )
-            break
+            crossed[:] = False  # the forced interaction comes first
+            analytic_flight = False
         else:
             step = rng.exponential(1.0 / c, x.size)
             crossed = s_plane <= step
-            if crossed.any():
-                sc = s_plane[crossed]
-                xc = x[crossed] + sc * ux[crossed]
-                yc = y[crossed] + sc * uy[crossed]
-                ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[crossed] >= cos_fov)
-                if ok.any():
-                    deposit(
-                        w[crossed][ok],
-                        (path[crossed][ok] + sc[ok]) * n_water / SPEED_OF_LIGHT,
-                    )
-        first_flight = False
+            receive(crossed, w[crossed])
 
-        # Photons that hit the plane terminate there; the rest interact.
-        alive = ~crossed
-        x = x[alive] + step[alive] * ux[alive]
-        y = y[alive] + step[alive] * uy[alive]
-        z = z[alive] + step[alive] * uz[alive]
-        path = path[alive] + step[alive]
-        w = w[alive] * albedo
-        live = w >= weight_floor
-        x = x[live]
-        y = y[live]
-        z = z[live]
-        w = w[live]
-        path = path[live]
-        ux = ux[alive][live]
-        uy = uy[alive][live]
-        uz = uz[alive][live]
-        if not x.size:
-            break
+        # Photons that hit the plane terminate there; the rest interact,
+        # and those whose weight falls below the floor stop.
+        w = w * albedo
+        keep = ~crossed & (w >= weight_floor)
+        step = step[keep]
+        ux = ux[keep]
+        uy = uy[keep]
+        uz = uz[keep]
+        x = x[keep] + step * ux
+        y = y[keep] + step * uy
+        z = z[keep] + step * uz
+        path = path[keep] + step
+        w = w[keep]
         cos_t = _henyey_greenstein_cos(water.hg_asymmetry, rng.random(x.size))
         phi = rng.random(x.size) * (2.0 * np.pi)
         ux, uy, uz = _rotate_directions(ux, uy, uz, cos_t, phi)
@@ -459,11 +436,7 @@ def simulate_impulse_response(
             weight_floor,
             ballistic_splitting,
         )
-        if part.size > hist.size:
-            part[: hist.size] += hist
-            hist = part
-        else:
-            hist[: part.size] += part
+        hist = _add_histograms(hist, part)
 
     frac = hist / float(n_photons)
     # Trim trailing zero bins but always keep at least one.
@@ -544,7 +517,7 @@ def bit_frame_energies(
         g = _unit_triangle_cdf((edges - m * bit_duration) / bit_duration)
         slot_energy[m] = float(frac @ (g[1:] - g[:-1])) * scale
 
-    memory = channel_memory(slot_energy, bit_duration, tail_epsilon)
+    memory = channel_memory(slot_energy, tail_epsilon)
     return BitEnergies(
         e_signal=float(slot_energy[0]),
         e_isi=slot_energy[1 : memory + 1],
@@ -552,16 +525,12 @@ def bit_frame_energies(
     )
 
 
-def channel_memory(response_energy_per_slot, bit_duration: float, tail_epsilon: float) -> int:
+def channel_memory(response_energy_per_slot, tail_epsilon: float) -> int:
     """Number of bit slots whose leakage matters: the ISI depth L.
 
     Returns the smallest L such that the energy beyond slot L is below
-    tail_epsilon times the total slot energy. `bit_duration` is part of
-    the slotting convention and is validated but not otherwise used; the
-    input array is already per-slot.
+    tail_epsilon times the total slot energy.
     """
-    if not (math.isfinite(bit_duration) and bit_duration > 0.0):
-        raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
     if not (0.0 < tail_epsilon < 1.0):
         raise ValueError(f"tail_epsilon must be in (0, 1), got {tail_epsilon}")
     energies = np.asarray(response_energy_per_slot, dtype=float)

@@ -298,6 +298,14 @@ def _section(data: dict, name: str, violations: list, extra=()) -> dict:
     return node
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite for a JSON number; an integer too large for a float is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _take_number(node: dict, field: _Field, violations: list):
     """`field`'s value in `node`; its default when absent, null or in violation."""
     value = node.get(field.key)
@@ -307,7 +315,7 @@ def _take_number(node: dict, field: _Field, violations: list):
         problem = f"expected a number, got {value!r}"
     elif field.integer and not isinstance(value, int):
         problem = f"expected an integer, got {value!r}"
-    elif not math.isfinite(value):
+    elif not _is_finite(value):
         problem = "must be finite"
     else:
         value = int(value) if field.integer else float(value)
@@ -338,7 +346,7 @@ def _is_number_list(value, length: int | None = None, *, positive: bool) -> bool
         and (len(value) == length if length is not None else bool(value))
         and all(
             not isinstance(v, bool) and isinstance(v, (int, float))
-            and (v > 0 if positive else v >= 0) and math.isfinite(v)
+            and (v > 0 if positive else v >= 0) and _is_finite(v)
             for v in value
         )
     )
@@ -506,6 +514,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the recursion limit, or an integer longer
+        # than the interpreter's digit limit for int conversion.
+        raise ConfigError(f"config parse error in {path}: {exc}") from exc
     return _config_from_dict(data)
 
 
@@ -569,7 +581,7 @@ def _curve_tag(method: str, rate: float, single_rate: bool) -> str:
     return method if single_rate else f"{method}@{rate:g}bps"
 
 
-def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
+def run_sweep(cfg: RunConfig) -> list[BerCurve]:
     """Produce one BER-vs-power curve per (data rate, method).
 
     Channel impulse responses and scintillation integrals are computed
@@ -577,13 +589,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
     transmit power enters only through the per-bit photon count. Each
     Monte Carlo point draws its seed deterministically from the config
     seed and its (rate, power) position.
-
-    `threads` is validated (>= 1) and otherwise reserved: the points run
-    one after another, since the work holds the interpreter lock and a
-    thread pool measured no faster, and every number is independent of it.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     sigmas = _hop_sigmas(cfg)
     fading = [FadingModel(sigma_x_sq=s) for s in sigmas]
     responses = _impulse_responses(cfg)
@@ -623,9 +629,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
             )
 
         for method in cfg.methods:
-            def point(idx: int):
-                dbm = float(powers_dbm[idx])
+            xs, ys, lows, highs = [], [], [], []
+            failed, clamped = [], []
+            for idx, dbm in enumerate(powers_dbm.tolist()):
                 chain = chain_at(_dbm_to_watts(dbm))
+                lo = hi = None
                 try:
                     if method == "montecarlo":
                         sim = run_bit_simulation(
@@ -633,19 +641,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> list[BerCurve]:
                             cfg.mc_n_bits,
                             _derived_seed(cfg.mc_seed, 2, rate_idx, idx),
                         )
-                        return dbm, sim.ber_hat, sim.ci95_low, sim.ci95_high, None
-                    result = chain_average_ber(chain, method, ghq)
-                    return dbm, result.exact, None, None, None
+                        ber, lo, hi = sim.ber_hat, sim.ci95_low, sim.ci95_high
+                    else:
+                        ber = chain_average_ber(chain, method, ghq).exact
                 except (ConvergenceError, ValueError) as exc:
-                    return dbm, None, None, None, str(exc)
-
-            results = [point(i) for i in range(powers_dbm.size)]
-
-            xs, ys, lows, highs = [], [], [], []
-            failed, clamped = [], []
-            for dbm, ber, lo, hi, reason in results:
-                if reason is not None:
-                    failed.append({"power_dbm": dbm, "reason": reason})
+                    failed.append({"power_dbm": dbm, "reason": str(exc)})
                     continue
                 if 0.0 < ber < BER_CLAMP_FLOOR:
                     clamped.append(dbm)
@@ -777,6 +777,17 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     """Console entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -794,9 +805,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default: csv)")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="reserved; must be >= 1 (default: 1). Sweep points run "
-                            "one after another and outputs do not depend on it")
+    run_p.add_argument("--threads", type=_thread_count, default=1,
+                       help="accepted for compatibility; must be >= 1 (default: 1). "
+                            "Sweep points run one after another and outputs do not "
+                            "depend on it")
 
     _configure_logging()
     try:
@@ -818,7 +830,7 @@ def main(argv=None) -> int:
             for path in _emit_impulse_responses(cfg, args.out):
                 print(path)
             return 0
-        curves = run_sweep(cfg, threads=args.threads)
+        curves = run_sweep(cfg)
         for path in emit_curves(curves, args.format, args.out):
             print(path)
         return 0

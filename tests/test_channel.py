@@ -393,23 +393,21 @@ def test_channel_memory_geometric_series():
     # Slot energies r^m with r = 1/2: the tail after slot L is 2^-(L+1)
     # of the total, so epsilon = 1e-6 needs L = 19 (2^-20 < 1e-6 <= 2^-19).
     slots = 0.5 ** np.arange(40)
-    assert u.channel_memory(slots, 1e-9, 1e-6) == 19
+    assert u.channel_memory(slots, 1e-6) == 19
 
 
 def test_channel_memory_edges():
-    assert u.channel_memory(np.array([1.0]), 1e-9, 1e-6) == 0
-    assert u.channel_memory(np.zeros(5), 1e-9, 1e-6) == 0
-    assert u.channel_memory(np.array([1.0, 0.0, 0.0]), 1e-9, 1e-6) == 0
+    assert u.channel_memory(np.array([1.0]), 1e-6) == 0
+    assert u.channel_memory(np.zeros(5), 1e-6) == 0
+    assert u.channel_memory(np.array([1.0, 0.0, 0.0]), 1e-6) == 0
     # All mass in a later slot: memory reaches it.
-    assert u.channel_memory(np.array([0.0, 0.0, 1.0]), 1e-9, 1e-6) == 2
-    with pytest.raises(ValueError, match="bit_duration"):
-        u.channel_memory(np.array([1.0]), 0.0, 1e-6)
+    assert u.channel_memory(np.array([0.0, 0.0, 1.0]), 1e-6) == 2
     with pytest.raises(ValueError, match="tail_epsilon"):
-        u.channel_memory(np.array([1.0]), 1e-9, 1.0)
+        u.channel_memory(np.array([1.0]), 1.0)
     with pytest.raises(ValueError, match="finite"):
-        u.channel_memory(np.array([1.0, -0.5]), 1e-9, 1e-6)
+        u.channel_memory(np.array([1.0, -0.5]), 1e-6)
     with pytest.raises(ValueError, match="nonempty"):
-        u.channel_memory(np.array([]), 1e-9, 1e-6)
+        u.channel_memory(np.array([]), 1e-6)
 
 
 def test_memory_grows_with_data_rate(ir_coastal_22p5):

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,12 +260,20 @@ def test_sweep_methods_mutually_consistent(tiny_curves):
     assert mc.ci_low[0] - 0.05 <= by_method["awgn_ghqf"].y[0] <= mc.ci_high[0] + 0.05
 
 
-def test_sweep_deterministic_and_thread_invariant(tiny_curves):
-    cfg, curves = tiny_curves
-    assert run_sweep(cfg) == curves
-    assert run_sweep(cfg, threads=2) == curves
-    with pytest.raises(ValueError, match="threads"):
-        run_sweep(cfg, threads=0)
+def test_sweep_deterministic_and_thread_invariant(tiny_curves, tmp_path, capsys):
+    # Reruns through the CLI reproduce the in-process sweep byte for byte,
+    # whatever --threads says; --threads below 1 is a usage error.
+    _, curves = tiny_curves
+    (expected,) = emit_curves(curves, "csv", tmp_path / "expected")
+    cfg_path = write_config(tmp_path, TINY_SWEEP)
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", threads]) == 0
+        assert (out / "curves.csv").read_bytes() == expected.read_bytes()
+    out = tmp_path / "threads0"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", "0"]) == 1
+    assert "--threads: expected an integer >= 1, got '0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emitted_files_are_byte_stable(tiny_curves, tmp_path):
@@ -325,6 +336,40 @@ def test_cli_exit_code_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("water", "hg_asymmetry", 10 ** 400, "water.hg_asymmetry: must be finite"),
+        ("hops", "lengths_m", [10 ** 400], "hops.lengths_m: expected a nonempty list"),
+    ],
+    ids=["number field", "number list"],
+)
+def test_cli_integer_beyond_float_range_is_a_config_error(
+    tmp_path, capsys, section, key, value, message
+):
+    data = {**MINIMAL, section: {**MINIMAL[section], key: value}}
+    path = write_config(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"water": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"ghq_order": 1' + "0" * 5000 + "}",
+    ],
+    ids=["nested 1e5 deep", "5001-digit integer"],
+)
+def test_cli_json_beyond_parser_limits_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: config parse error in {path}: ")
+
+
 def test_cli_exit_code_missing_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
     assert "I/O error" in capsys.readouterr().err
@@ -371,6 +416,18 @@ def test_cli_channel_writes_parseable_responses(tmp_path, capsys):
     ir = u.ImpulseResponse.from_csv(target.read_text())
     assert ir.energy_fraction.size >= 2
     assert 0.0 < ir.total_fraction <= 1.0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write_config(tmp_path, MINIMAL)
+    env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "uwoc_relay_sim", "validate", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["water"]["preset"] == "coastal"
 
 
 def test_cli_log_env_var_is_tolerated(tmp_path, monkeypatch, capsys):
