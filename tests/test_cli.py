@@ -262,14 +262,16 @@ def test_sweep_methods_mutually_consistent(tiny_curves):
 
 def test_sweep_deterministic_and_thread_invariant(tiny_curves, tmp_path, capsys):
     # Reruns through the CLI reproduce the in-process sweep byte for byte,
-    # whatever --threads says; --threads below 1 is a usage error.
+    # whatever --threads says: curves.csv, and report.json with the curve
+    # metadata and the config. --threads below 1 is a usage error.
     _, curves = tiny_curves
-    (expected,) = emit_curves(curves, "csv", tmp_path / "expected")
     cfg_path = write_config(tmp_path, TINY_SWEEP)
-    for threads in ("1", "2"):
+    for threads, fmt in (("1", "csv"), ("2", "json")):
+        (expected,) = emit_curves(curves, fmt, tmp_path / f"expected_{fmt}")
         out = tmp_path / f"threads{threads}"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", threads]) == 0
-        assert (out / "curves.csv").read_bytes() == expected.read_bytes()
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--threads", threads, "--format", fmt]
+        assert main(argv) == 0
+        assert (out / expected.name).read_bytes() == expected.read_bytes()
     out = tmp_path / "threads0"
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--threads", "0"]) == 1
     assert "--threads: expected an integer >= 1, got '0'" in capsys.readouterr().err
