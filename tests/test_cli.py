@@ -7,6 +7,7 @@ codes), not statistical quality.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -430,6 +431,46 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["water"]["preset"] == "coastal"
+
+
+RELAY_SWEEP = {
+    "water": {"preset": "coastal"},
+    "hops": {"relay_count": 1, "end_to_end_distance_m": 18.0},
+    "turbulence": {"sigma_x_sq": 0.05},
+    "data_rates_bps": [1e9],
+    "power_shares": [0.25, 0.75],
+    "power_sweep_dbm": {"start": 0.0, "stop": 30.0, "step": 10.0},
+    "methods": ["awgn_ghqf", "montecarlo"],
+    "mc": {"n_photons": 20_000, "n_bits": 20_000, "seed": 7},
+}
+
+# Byte pins for every file the CLI writes and for the `validate` echo:
+# a single-hop sweep with every method, and a two-hop relay chain given by
+# relay count and distance with an unequal power split and a Monte Carlo
+# curve. Any change to a value, to the order of random draws or to the
+# output format moves a digest. Like the trace pins in test_channel, the
+# digests hold for one numpy build on one CPU family.
+FROZEN_OUTPUTS = {
+    # name: (config, CLI arguments after --config, file written or None for stdout, sha256)
+    "tiny-csv": (TINY_SWEEP, ["run", "--format", "csv"], "curves.csv", "8e1b15ce88d9c6b9213ab57f2a257eaaaa0237eb30afc443e9ace1c1c846dd25"),
+    "tiny-json": (TINY_SWEEP, ["run", "--format", "json"], "report.json", "3fb7143a75763fa10f2cda586bd60156149292cfe959ad9f2a8201f7bf02c9ee"),
+    "relay-csv": (RELAY_SWEEP, ["run", "--format", "csv"], "curves.csv", "649faa9aed52268cfc2e39414cec9cf0ac205a95bcb4bd3163e8cae5018db619"),
+    "relay-json": (RELAY_SWEEP, ["run", "--format", "json"], "report.json", "8f174e42578b162c7293a57e158d28cd15bbfd744a5af71a9bd4e26c0f759f8e"),
+    "tiny-channel": (TINY_SWEEP, ["channel"], "impulse_response_0.csv", "8f4b986dcace361f7e2444851351cade38be984525d25e6261c99313721a3f78"),
+    "relay-validate": (RELAY_SWEEP, ["validate"], None, "ee41cf31a8d4efe2d4b4cdef3f18cf27471d71b4f0a202bd373e6b3dbf535746"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_OUTPUTS))
+def test_cli_output_bytes_are_frozen(name, tmp_path, capsys):
+    data, (command, *options), filename, digest = FROZEN_OUTPUTS[name]
+    argv = [command, "--config", str(write_config(tmp_path, data)), *options]
+    if filename is not None:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    payload = stdout.encode() if filename is None else (tmp_path / "out" / filename).read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_cli_log_env_var_is_tolerated(tmp_path, monkeypatch, capsys):
