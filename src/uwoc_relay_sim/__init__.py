@@ -5,6 +5,10 @@ over turbulent, absorbing, scattering seawater: Monte Carlo channel
 impulse responses, log-normal fading, three single-hop receiver models,
 exact relay parity combinatorics, and a bit-level validation simulator,
 driven either as a library or through the `uwoc-relay-sim` CLI.
+
+The configuration and sweep API (`RunConfig`, `load_config`, `run_sweep`,
+`emit_curves`, `main`) lives in `uwoc_relay_sim.cli`, which importing the
+package does not load, so `python -m uwoc_relay_sim.cli` runs it once.
 """
 
 __version__ = "0.1.0"
@@ -32,15 +36,6 @@ from .channel import (
     channel_memory,
     simulate_impulse_response,
 )
-from .cli import (
-    SWEEP_METHODS,
-    BerCurve,
-    RunConfig,
-    emit_curves,
-    load_config,
-    main,
-    run_sweep,
-)
 from .errors import ConfigError, ConvergenceError
 from .relay import (
     ChainBerResult,
@@ -67,7 +62,6 @@ from .turbulence import (
 __all__ = [
     "__version__",
     "BER_METHODS",
-    "BerCurve",
     "BitEnergies",
     "ChainBerResult",
     "ConfigError",
@@ -83,8 +77,6 @@ __all__ = [
     "LinkGeometry",
     "NoiseModel",
     "RelayChain",
-    "RunConfig",
-    "SWEEP_METHODS",
     "SaddlePointResult",
     "SimResult",
     "TurbulenceParams",
@@ -97,17 +89,13 @@ __all__ = [
     "e2e_ber_exact",
     "e2e_ber_identical",
     "e2e_ber_upper",
-    "emit_curves",
     "fading_pdf",
     "gaussian_ber",
     "ghq_rule",
     "hop_average_ber",
-    "load_config",
-    "main",
     "poisson_means",
     "prob_u_incorrect",
     "run_bit_simulation",
-    "run_sweep",
     "sample_fading",
     "saddle_point_ber",
     "scintillation_index_plane_wave",

@@ -65,6 +65,9 @@ __all__ = [
 
 BER_METHODS = ("awgn_ghqf", "saddle_point", "gaussian")
 
+DEFAULT_GHQ_ORDER = 30
+"""Gauss-Hermite order of the fading average when the caller gives no rule."""
+
 ISI_ENUMERATION_CAP = 16
 """Largest channel memory averaged by exhaustive 2^L pattern enumeration.
 
@@ -682,8 +685,8 @@ def hop_average_ber(
     method : str
         One of "awgn_ghqf", "saddle_point", "gaussian".
     ghq : GhqRule, optional
-        Quadrature rule whose order sets the node count; order 30 when
-        omitted.
+        Quadrature rule whose order sets the node count;
+        DEFAULT_GHQ_ORDER when omitted.
 
     Raises
     ------
@@ -697,7 +700,7 @@ def hop_average_ber(
         known = ", ".join(BER_METHODS)
         raise ValueError(f"unknown method {method!r}; expected one of: {known}")
     if ghq is None:
-        ghq = ghq_rule(30)
+        ghq = ghq_rule(DEFAULT_GHQ_ORDER)
     elif not isinstance(ghq, GhqRule):
         raise ValueError(f"ghq must be a GhqRule, got {type(ghq).__name__}")
 

@@ -57,6 +57,9 @@ DEFAULT_HG_ASYMMETRY = 0.924
 DEFAULT_REFRACTIVE_INDEX = 1.331
 DEFAULT_WAVELENGTH = 532e-9
 
+DEFAULT_TAIL_EPSILON = 1e-6
+"""Relative tail mass of the slot energies left out of the channel memory."""
+
 DEFAULT_WEIGHT_FLOOR = 1e-6
 """Photon weight below which tracing stops; bounds runtime in turbid water."""
 
@@ -230,17 +233,19 @@ class BitEnergies:
 
     e_signal: float
     e_isi: np.ndarray
-    memory: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.e_signal) and self.e_signal >= 0.0):
             raise ValueError(f"e_signal must be >= 0, got {self.e_signal}")
         isi = np.asarray(self.e_isi, dtype=float)
-        if np.any(~np.isfinite(isi)) or np.any(isi < 0.0):
-            raise ValueError("e_isi entries must be finite and >= 0")
-        if self.memory < 0 or len(isi) != self.memory:
-            raise ValueError(f"memory must equal len(e_isi), got {self.memory} vs {len(isi)}")
+        if isi.ndim != 1 or np.any(~np.isfinite(isi)) or np.any(isi < 0.0):
+            raise ValueError("e_isi must be a 1-d array of finite entries >= 0")
         object.__setattr__(self, "e_isi", isi)
+
+    @property
+    def memory(self) -> int:
+        """Channel memory L: the number of later slots the bit leaks into."""
+        return self.e_isi.size
 
     @property
     def total(self) -> float:
@@ -468,15 +473,15 @@ def _unit_triangle_cdf(x: np.ndarray) -> np.ndarray:
 
 def bit_frame_energies(
     ir: ImpulseResponse,
-    pulse_shape: str = "rectangular",
     bit_duration: float = 1e-9,
-    tail_epsilon: float = 1e-6,
+    tail_epsilon: float = DEFAULT_TAIL_EPSILON,
 ) -> BitEnergies:
     """Reduce an impulse response to per-bit-slot energy fractions.
 
-    Convolving a full-slot rectangular pulse with the response and
-    integrating the result over the 0th receive slot, for each transmit
-    offset of k bit periods, amounts to averaging a unit triangle of base
+    The transmitted pulse is a full-slot rectangle (OOK NRZ). Convolving
+    it with the response and integrating the result over the 0th receive
+    slot, for each transmit offset of k bit periods, amounts to averaging
+    a unit triangle of base
     2*bit_duration centered at k*bit_duration over each response bin. That
     average has a closed form, so slot energies are exact for the binned
     response (no quadrature grid), and the slot sum telescopes to the
@@ -488,8 +493,6 @@ def bit_frame_energies(
     Parameters
     ----------
     ir : ImpulseResponse
-    pulse_shape : str
-        Only "rectangular" (full-slot OOK NRZ) is supported.
     bit_duration : float
         Bit period T_b (s).
     tail_epsilon : float
@@ -499,8 +502,6 @@ def bit_frame_energies(
     -------
     BitEnergies
     """
-    if pulse_shape != "rectangular":
-        raise ValueError(f"unsupported pulse_shape {pulse_shape!r}; only 'rectangular'")
     if not (math.isfinite(bit_duration) and bit_duration > 0.0):
         raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
     if not (0.0 < tail_epsilon < 1.0):
@@ -521,7 +522,6 @@ def bit_frame_energies(
     return BitEnergies(
         e_signal=float(slot_energy[0]),
         e_isi=slot_energy[1 : memory + 1],
-        memory=memory,
     )
 
 

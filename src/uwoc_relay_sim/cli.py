@@ -29,6 +29,7 @@ from .ber import (
     BER_METHODS,
     DEFAULT_BACKGROUND_RATE,
     DEFAULT_DARK_CURRENT,
+    DEFAULT_GHQ_ORDER,
     DEFAULT_LOAD_RESISTANCE,
     DEFAULT_QUANTUM_EFFICIENCY,
     DEFAULT_RECEIVER_TEMPERATURE,
@@ -38,6 +39,7 @@ from .ber import (
 from .channel import (
     DEFAULT_HG_ASYMMETRY,
     DEFAULT_REFRACTIVE_INDEX,
+    DEFAULT_TAIL_EPSILON,
     WATER_PRESETS,
     ImpulseResponse,
     LinkGeometry,
@@ -108,6 +110,9 @@ _BOUND_CHECKS = {
 
 _NONNEGATIVE = ((">=", 0.0),)
 _POSITIVE = ((">", 0.0),)
+# Photon and bit counts: 1e10 is 1e4 tracer batches or simulator blocks
+# of 1e6, so at most 1e4 child seeds are spawned.
+_COUNT = ((">=", 1), ("<=", 10**10))
 _LINK_DEFAULTS = {f.name: f.default for f in fields(LinkGeometry)}
 
 _FIELDS = (
@@ -139,10 +144,11 @@ _FIELDS = (
     _Field("power_sweep_dbm", "stop", "sweep_stop_dbm", 50.0),
     # step > 0 is checked in code after start < stop, keeping the order violations are listed in.
     _Field("power_sweep_dbm", "step", "sweep_step_db", 1.0),
-    _Field(None, "ghq_order", "ghq_order", 30, ((">=", 1), ("<=", 64)), integer=True),
-    _Field(None, "tail_epsilon", "tail_epsilon", 1e-6, _POSITIVE + (("<", 1),)),
-    _Field("mc", "n_photons", "mc_n_photons", 1_000_000, ((">=", 1),), integer=True),
-    _Field("mc", "n_bits", "mc_n_bits", 1_000_000, ((">=", 1),), integer=True),
+    _Field(None, "ghq_order", "ghq_order", DEFAULT_GHQ_ORDER, ((">=", 1), ("<=", 64)),
+           integer=True),
+    _Field(None, "tail_epsilon", "tail_epsilon", DEFAULT_TAIL_EPSILON, _POSITIVE + (("<", 1),)),
+    _Field("mc", "n_photons", "mc_n_photons", 1_000_000, _COUNT, integer=True),
+    _Field("mc", "n_bits", "mc_n_bits", 1_000_000, _COUNT, integer=True),
     _Field("mc", "seed", "mc_seed", 12345, ((">=", 0),), integer=True),
     _Field("mc", "bin_width_s", "mc_bin_width_s", None, _POSITIVE),
 )
@@ -698,11 +704,6 @@ def emit_curves(curves: list[BerCurve], format: str, out_path) -> list[Path]:
         raise ValueError("emit_curves needs at least one curve")
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
-    out_dir = Path(out_path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     if format == "csv":
         lines = ["method,power_dBm,ber,ci_low,ci_high"]
@@ -715,7 +716,7 @@ def emit_curves(curves: list[BerCurve], format: str, out_path) -> list[Path]:
                 lines.append(
                     f"{curve.method},{_format_float(x)},{_format_float(y)},{lo_s},{hi_s}"
                 )
-        target = out_dir / "curves.csv"
+        name = "curves.csv"
         payload = "\n".join(lines) + "\n"
     else:
         config = curves[0].metadata.get("config")
@@ -739,28 +740,32 @@ def emit_curves(curves: list[BerCurve], format: str, out_path) -> list[Path]:
                 for curve in curves
             ],
         }
-        target = out_dir / "report.json"
+        name = "report.json"
         payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-    try:
-        target.write_text(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write {target}: {exc}") from exc
-    return [target]
+    return _write_files(out_path, {name: payload})
 
 
 def _emit_impulse_responses(cfg: RunConfig, out_path) -> list[Path]:
     responses = _impulse_responses(cfg)
+    texts = {
+        f"impulse_response_{i}.csv": responses[d].to_csv()
+        for i, d in enumerate(sorted(responses))
+    }
+    return _write_files(out_path, texts)
+
+
+def _write_files(out_path, payloads: dict[str, str]) -> list[Path]:
+    """Write each text to its file name in directory `out_path`, creating it if needed."""
     out_dir = Path(out_path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     written = []
-    for i, d in enumerate(sorted(responses)):
-        target = out_dir / f"impulse_response_{i}.csv"
+    for name, text in payloads.items():
+        target = out_dir / name
         try:
-            target.write_text(responses[d].to_csv())
+            target.write_text(text)
         except OSError as exc:
             raise OSError(f"cannot write {target}: {exc}") from exc
         written.append(target)

@@ -53,17 +53,13 @@ class HopBerVector:
 
 @dataclass(frozen=True)
 class RelayChain:
-    """A source-to-destination chain of N+1 hops sharing a power budget.
+    """A source-to-destination chain of N+1 hops at one bit rate.
 
-    `power_shares` split `total_power_per_bit` across hops; every hop's
-    CountScale must already reflect its share (use `assemble` to build a
-    chain where that holds by construction).
+    Every hop's CountScale already holds that hop's share of the transmit
+    power; `assemble` builds a chain from a total power and a split.
     """
 
     hops: tuple[HopBerInputs, ...]
-    total_power_per_bit: float
-    power_shares: tuple[float, ...]
-    data_rate: float
 
     def __post_init__(self) -> None:
         hops = tuple(self.hops)
@@ -72,28 +68,13 @@ class RelayChain:
         for i, hop in enumerate(hops):
             if not isinstance(hop, HopBerInputs):
                 raise TypeError(f"hop {i} must be HopBerInputs, got {type(hop).__name__}")
-        object.__setattr__(self, "hops", hops)
-        shares = tuple(float(s) for s in self.power_shares)
-        if len(shares) != len(hops):
-            raise ValueError(
-                f"power_shares length {len(shares)} does not match {len(hops)} hops"
-            )
-        if any(not (math.isfinite(s) and s >= 0.0) for s in shares):
-            raise ValueError("power shares must be finite and >= 0")
-        if abs(sum(shares) - 1.0) > 1e-9:
-            raise ValueError(f"power shares must sum to 1, got {sum(shares)}")
-        object.__setattr__(self, "power_shares", shares)
-        if not (math.isfinite(self.total_power_per_bit) and self.total_power_per_bit >= 0.0):
-            raise ValueError(f"total_power_per_bit must be >= 0, got {self.total_power_per_bit}")
-        if not (math.isfinite(self.data_rate) and self.data_rate > 0.0):
-            raise ValueError(f"data_rate must be > 0, got {self.data_rate}")
-        bit_duration = 1.0 / self.data_rate
-        for i, hop in enumerate(hops):
+            bit_duration = hops[0].noise.bit_duration
             if not math.isclose(hop.noise.bit_duration, bit_duration, rel_tol=1e-9):
                 raise ValueError(
                     f"hop {i} noise bit_duration {hop.noise.bit_duration} does not match "
-                    f"1/data_rate = {bit_duration}"
+                    f"hop 0's {bit_duration}"
                 )
+        object.__setattr__(self, "hops", hops)
 
     @property
     def n_relays(self) -> int:
@@ -116,34 +97,47 @@ class RelayChain:
         """Build a chain whose count scales follow from the power split.
 
         `hop_energies` and `hop_fading` are per-hop sequences; `noise` is
-        one NoiseModel shared by every receiver. Omitted `power_shares`
-        means an equal split.
+        one NoiseModel shared by every receiver, and its bit duration must
+        be 1/`data_rate`. Hop i transmits `power_shares[i]` of
+        `total_power_per_bit`; omitted `power_shares` means an equal split.
         """
         n_hops = len(hop_energies)
         if len(hop_fading) != n_hops:
             raise ValueError("hop_energies and hop_fading must have equal length")
         if power_shares is None:
             power_shares = [1.0 / n_hops] * n_hops
+        shares = tuple(float(s) for s in power_shares)
+        if len(shares) != n_hops:
+            raise ValueError(f"power_shares length {len(shares)} does not match {n_hops} hops")
+        if any(not (math.isfinite(s) and s >= 0.0) for s in shares):
+            raise ValueError("power shares must be finite and >= 0")
+        if abs(sum(shares) - 1.0) > 1e-9:
+            raise ValueError(f"power shares must sum to 1, got {sum(shares)}")
+        if not (math.isfinite(total_power_per_bit) and total_power_per_bit >= 0.0):
+            raise ValueError(f"total_power_per_bit must be >= 0, got {total_power_per_bit}")
+        if not (math.isfinite(data_rate) and data_rate > 0.0):
+            raise ValueError(f"data_rate must be > 0, got {data_rate}")
         bit_duration = 1.0 / data_rate
-        hops = tuple(
-            HopBerInputs(
-                energies=energies,
-                fading=fading,
-                noise=noise,
-                scale=CountScale.from_power(
-                    share * total_power_per_bit,
-                    bit_duration,
-                    quantum_efficiency=quantum_efficiency,
-                    wavelength=wavelength,
-                ),
+        if not math.isclose(noise.bit_duration, bit_duration, rel_tol=1e-9):
+            raise ValueError(
+                f"noise bit_duration {noise.bit_duration} does not match "
+                f"1/data_rate = {bit_duration}"
             )
-            for energies, fading, share in zip(hop_energies, hop_fading, power_shares)
-        )
         return cls(
-            hops=hops,
-            total_power_per_bit=total_power_per_bit,
-            power_shares=tuple(power_shares),
-            data_rate=data_rate,
+            tuple(
+                HopBerInputs(
+                    energies=energies,
+                    fading=fading,
+                    noise=noise,
+                    scale=CountScale.from_power(
+                        share * total_power_per_bit,
+                        bit_duration,
+                        quantum_efficiency=quantum_efficiency,
+                        wavelength=wavelength,
+                    ),
+                )
+                for energies, fading, share in zip(hop_energies, hop_fading, shares)
+            )
         )
 
 

@@ -116,15 +116,17 @@ class FadingModel:
 class GhqRule:
     """Gauss-Hermite quadrature rule: integral of exp(-x^2) g(x) dx ~ sum w_q g(x_q)."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.nodes) != self.order or len(self.weights) != self.order:
-            raise ValueError("nodes/weights length must equal order")
+        if len(self.nodes) < 1 or len(self.weights) != len(self.nodes):
+            raise ValueError("nodes and weights must be nonempty and of equal length")
+
+    @property
+    def order(self) -> int:
+        """Number of quadrature nodes."""
+        return len(self.nodes)
 
 
 def _nikishov_spectrum(kappa, chi_t, epsilon_diss, w_ratio, eta=KOLMOGOROV_MICROSCALE):
@@ -303,4 +305,4 @@ def ghq_rule(order: int) -> GhqRule:
     if order < 1 or order > _GHQ_MAX_ORDER:
         raise ValueError(f"order must be in 1..{_GHQ_MAX_ORDER}, got {order}")
     nodes, weights = hermgauss(int(order))
-    return GhqRule(order=int(order), nodes=nodes, weights=weights)
+    return GhqRule(nodes=nodes, weights=weights)

@@ -79,7 +79,7 @@ def synthetic_hop(
     """Single hop with hand-picked slot energies; no channel MC involved."""
     e_isi = np.asarray(e_isi, dtype=float)
     return u.HopBerInputs(
-        energies=u.BitEnergies(e_signal=e_signal, e_isi=e_isi, memory=e_isi.size),
+        energies=u.BitEnergies(e_signal=e_signal, e_isi=e_isi),
         fading=u.FadingModel(sigma_x_sq=sigma_x_sq),
         noise=u.NoiseModel.typical(bit_duration),
         scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), bit_duration),

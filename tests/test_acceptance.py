@@ -262,9 +262,7 @@ def test_criterion_05_simulator_ci_covers_analytical_hop_ber():
     for label, hop, n_bits in cases:
         analytic = u.hop_average_ber(hop, "awgn_ghqf")
         assert 1e-4 <= analytic <= 1e-2
-        chain = u.RelayChain(
-            hops=(hop,), total_power_per_bit=1e-3, power_shares=(1.0,), data_rate=1e9
-        )
+        chain = u.RelayChain(hops=(hop,))
         res = u.run_bit_simulation(chain, n_bits, seed=20240817)
         lines.append(
             f"{label}: analytic {analytic:.4e}, simulated {res.ber_hat:.4e} "

@@ -103,7 +103,7 @@ def five_sigma_hop() -> u.HopBerInputs:
     noise = u.NoiseModel.typical(1e-9)
     sigma_tb = math.sqrt(noise.sigma_th_sq + noise.n_bd)
     return u.HopBerInputs(
-        energies=u.BitEnergies(e_signal=1.0, e_isi=np.array([]), memory=0),
+        energies=u.BitEnergies(e_signal=1.0, e_isi=np.array([])),
         fading=u.FadingModel(sigma_x_sq=0.0),
         noise=noise,
         scale=u.CountScale(photons_per_bit=10.0 * sigma_tb),

@@ -104,12 +104,10 @@ def test_impulse_response_csv_errors():
 
 
 def test_bit_energies_validation():
-    be = u.BitEnergies(e_signal=1.7e-4, e_isi=np.array([8e-6, 4e-6]), memory=2)
+    be = u.BitEnergies(e_signal=1.7e-4, e_isi=np.array([8e-6, 4e-6]))
     assert be.total == pytest.approx(1.7e-4 + 1.2e-5)
     with pytest.raises(ValueError, match="e_signal"):
-        u.BitEnergies(e_signal=-1.0, e_isi=np.array([]), memory=0)
-    with pytest.raises(ValueError, match="memory"):
-        u.BitEnergies(e_signal=1e-4, e_isi=np.array([1e-6]), memory=2)
+        u.BitEnergies(e_signal=-1.0, e_isi=np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +371,6 @@ def test_slot_sum_telescopes_to_capture(ir_coastal_22p5):
 
 
 def test_bit_frame_energies_validation(ir_coastal_22p5):
-    with pytest.raises(ValueError, match="pulse_shape"):
-        u.bit_frame_energies(ir_coastal_22p5, pulse_shape="gaussian")
     with pytest.raises(ValueError, match="bit_duration"):
         u.bit_frame_energies(ir_coastal_22p5, bit_duration=0.0)
     with pytest.raises(ValueError, match="tail_epsilon"):

@@ -421,11 +421,26 @@ def test_cli_channel_writes_parseable_responses(tmp_path, capsys):
     assert 0.0 < ir.total_fraction <= 1.0
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_photons", 10 ** 30), ("n_bits", 10 ** 29), ("n_bits", 10 ** 10 + 1)],
+    ids=["n_photons 1e30", "n_bits 1e29", "n_bits 1e10+1"],
+)
+def test_cli_count_above_cap_is_a_config_error(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, {**MINIMAL, "mc": {key: value}})
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"mc.{key}: must be <= 10000000000, got {value}" in err
+    assert load(tmp_path, {**MINIMAL, "mc": {key: 10 ** 10}}).config_hash()
+
+
+@pytest.mark.parametrize("module", ["uwoc_relay_sim", "uwoc_relay_sim.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
     path = write_config(tmp_path, MINIMAL)
     env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "uwoc_relay_sim", "validate", "--config", str(path)],
+        [sys.executable, "-W", "default", "-m", module, "validate", "--config", str(path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -192,7 +192,6 @@ def two_hop_chain(power_dbm: float = 21.0) -> u.RelayChain:
 def test_relay_chain_assemble_splits_power_equally():
     chain = two_hop_chain(21.0)
     assert chain.n_relays == 1
-    assert chain.power_shares == (0.5, 0.5)
     per_hop_power = 0.5 * 10 ** ((21.0 - 30.0) / 10.0)
     expected = u.CountScale.from_power(per_hop_power, 1e-9).photons_per_bit
     for hop in chain.hops:
@@ -201,34 +200,30 @@ def test_relay_chain_assemble_splits_power_equally():
 
 def test_relay_chain_validation():
     hop = synthetic_hop(18.0)
+    two = ([hop.energies] * 2, [hop.fading] * 2, hop.noise)
     with pytest.raises(ValueError, match="at least one hop"):
-        u.RelayChain(hops=(), total_power_per_bit=1e-3, power_shares=(), data_rate=1e9)
+        u.RelayChain(hops=())
     with pytest.raises(ValueError, match="sum to 1"):
-        u.RelayChain(
-            hops=(hop, hop), total_power_per_bit=1e-3, power_shares=(0.7, 0.7), data_rate=1e9
-        )
+        u.RelayChain.assemble(*two, 1e-3, 1e9, power_shares=(0.7, 0.7))
     with pytest.raises(ValueError, match="power_shares length"):
-        u.RelayChain(
-            hops=(hop, hop), total_power_per_bit=1e-3, power_shares=(1.0,), data_rate=1e9
-        )
+        u.RelayChain.assemble(*two, 1e-3, 1e9, power_shares=(1.0,))
     with pytest.raises(ValueError, match="bit_duration"):
         # Hop noise says 1 ns, chain says 2 Gbps.
-        u.RelayChain(
-            hops=(hop,), total_power_per_bit=1e-3, power_shares=(1.0,), data_rate=2e9
-        )
+        u.RelayChain.assemble(*two, 1e-3, 2e9)
+    with pytest.raises(ValueError, match="data_rate must be > 0"):
+        u.RelayChain.assemble(*two, 1e-3, 0.0)
+    with pytest.raises(ValueError, match="hop 1 noise bit_duration"):
+        # Hop 0 at 1 ns, hop 1 at 0.5 ns.
+        u.RelayChain(hops=(hop, synthetic_hop(18.0, bit_duration=5e-10)))
     with pytest.raises(TypeError, match="hop 0"):
-        u.RelayChain(
-            hops=("hop",), total_power_per_bit=1e-3, power_shares=(1.0,), data_rate=1e9
-        )
+        u.RelayChain(hops=("hop",))
     with pytest.raises(ValueError, match="equal length"):
         u.RelayChain.assemble([hop.energies], [], hop.noise, 1e-3, 1e9)
 
 
 def test_chain_average_single_hop_exact_equals_upper():
     hop = synthetic_hop(18.0)
-    chain = u.RelayChain(
-        hops=(hop,), total_power_per_bit=1e-3, power_shares=(1.0,), data_rate=1e9
-    )
+    chain = u.RelayChain(hops=(hop,))
     result = u.chain_average_ber(chain, "awgn_ghqf")
     assert result.exact == pytest.approx(result.upper, rel=1e-12)
     assert result.exact == pytest.approx(float(result.per_hop.p[0]), rel=1e-12)
@@ -249,12 +244,7 @@ def test_chain_average_combines_hops_by_parity():
 def three_hop_chain_with_repeat() -> u.RelayChain:
     """Hops 0 and 1 share energies, fading, noise and scale; hop 2 differs."""
     chain = two_hop_chain(21.0)
-    return u.RelayChain(
-        hops=chain.hops + (synthetic_hop(19.0),),
-        total_power_per_bit=chain.total_power_per_bit,
-        power_shares=(0.25, 0.25, 0.5),
-        data_rate=chain.data_rate,
-    )
+    return u.RelayChain(hops=chain.hops + (synthetic_hop(19.0),))
 
 
 def test_chain_average_solves_each_distinct_hop_once(monkeypatch):

@@ -23,12 +23,7 @@ SIM_SEED = 20240817
 
 
 def single_hop_chain(hop: u.HopBerInputs) -> u.RelayChain:
-    return u.RelayChain(
-        hops=(hop,),
-        total_power_per_bit=1e-3,
-        power_shares=(1.0,),
-        data_rate=1.0 / hop.noise.bit_duration,
-    )
+    return u.RelayChain(hops=(hop,))
 
 
 def wilson(k: int, n: int) -> tuple[float, float]:
@@ -70,8 +65,6 @@ def test_validation_errors():
     chain = single_hop_chain(synthetic_hop(17.0))
     with pytest.raises(ValueError, match="n_bits"):
         u.run_bit_simulation(chain, 0, seed=1)
-    with pytest.raises(ValueError, match="threshold_mode"):
-        u.run_bit_simulation(chain, 10, seed=1, threshold_mode="midpoint")
     with pytest.raises(ValueError, match="block_size"):
         u.run_bit_simulation(chain, 10, seed=1, block_size=0)
     with pytest.raises(ValueError, match="poisson_gaussian_switch"):
@@ -79,9 +72,7 @@ def test_validation_errors():
 
 
 def test_history_cap_rejects_huge_memory():
-    deep = u.BitEnergies(
-        e_signal=1.7e-4, e_isi=np.full(u.HISTORY_CAP + 1, 1e-12), memory=u.HISTORY_CAP + 1
-    )
+    deep = u.BitEnergies(e_signal=1.7e-4, e_isi=np.full(u.HISTORY_CAP + 1, 1e-12))
     hop = dataclasses.replace(synthetic_hop(17.0), energies=deep)
     with pytest.raises(ValueError, match=r"hop\(s\) \[0\]"):
         u.run_bit_simulation(single_hop_chain(hop), 10, seed=1)
@@ -89,9 +80,7 @@ def test_history_cap_rejects_huge_memory():
 
 def test_sim_result_validation():
     with pytest.raises(ValueError, match="exceed"):
-        u.SimResult(10, 11, 1.0, 0.0, 1.0, 0, (11,), "counting", 1e4, False)
-    with pytest.raises(ValueError, match="bracket"):
-        u.SimResult(10, 1, 0.1, 0.2, 0.3, 0, (1,), "counting", 1e4, False)
+        u.SimResult(10, 11, (11,), False)
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +131,6 @@ def test_gaussian_switch_flag():
     assert not never.gaussian_draws_used
     # At these counts (~2e4 per mark) the two count models agree closely.
     assert forced.ber_hat == pytest.approx(never.ber_hat, rel=0.2)
-
-
-def test_threshold_modes_agree_when_background_is_negligible():
-    # n_bd ~ 8 vs thermal sigma ~ 1.8e3: moving the threshold by n_bd is
-    # invisible, so both CSI conventions land on the same answer.
-    chain = single_hop_chain(synthetic_hop(17.762))
-    counting = u.run_bit_simulation(chain, 300_000, seed=6, threshold_mode="counting")
-    awgn = u.run_bit_simulation(chain, 300_000, seed=6, threshold_mode="awgn")
-    assert awgn.threshold_mode == "awgn"
-    assert awgn.ber_hat == pytest.approx(counting.ber_hat, rel=0.15)
 
 
 # ---------------------------------------------------------------------------
