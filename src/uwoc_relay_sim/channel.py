@@ -481,11 +481,10 @@ def bit_frame_energies(
     The transmitted pulse is a full-slot rectangle (OOK NRZ). Convolving
     it with the response and integrating the result over the 0th receive
     slot, for each transmit offset of k bit periods, amounts to averaging
-    a unit triangle of base
-    2*bit_duration centered at k*bit_duration over each response bin. That
-    average has a closed form, so slot energies are exact for the binned
-    response (no quadrature grid), and the slot sum telescopes to the
-    captured fraction exactly.
+    a unit triangle of base 2*bit_duration centered at k*bit_duration over
+    each response bin. That average has a closed form, so slot energies
+    are exact for the binned response (no quadrature grid), and the slot
+    sum telescopes to the captured fraction exactly.
 
     Slots are indexed from t_start: slot m covers
     [t_start + m*T_b, t_start + (m+1)*T_b).
