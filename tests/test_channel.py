@@ -205,13 +205,14 @@ def test_frozen_impulse_response_regression(ir_coastal_22p5, ir_coastal_45, ir_c
 # splitting, lossless water both ways, an exactly on-axis launch (every
 # first scatter takes the near-pole rotation), fine bins merged over
 # several batches, a weight floor that cuts photons which would otherwise
-# arrive, and a trace that receives nothing. Any change to the arithmetic
-# or to the order of random draws moves a digest. The digests hold for
-# one numpy build on one CPU family; a different exp/log implementation
-# may move the last bits.
+# arrive, isotropic and backward-peaked scattering, and a trace that
+# receives nothing. Any change to the arithmetic or to the order of random
+# draws moves a digest. The digests hold for one numpy build on one CPU
+# family; a different exp/log implementation may move the last bits.
 FROZEN_TRACE_N = 20_000
 FROZEN_TRACES = {
-    # name: (water, LinkGeometry fields, seed, simulate_impulse_response options, size, sha256)
+    # name: (water, LinkGeometry fields, seed, options, size, sha256); the options go to
+    # simulate_impulse_response, except hg_asymmetry, which overrides the water preset's.
     "clear-9m-split": ("clear", {"distance": 9.0}, 7, {}, 8, "82ac3e5188b434ab5681d47c42e83922f0d621182b4cc1c2dd5c8a866560116c"),
     "clear-9m-analog": ("clear", {"distance": 9.0}, 7, {"ballistic_splitting": False}, 17, "bd31a868e11f7dd441f26ac578931f8b3735e1f247d4eeaac8e1a01e36f00f98"),
     "clear-22.5m-split": ("clear", {"distance": 22.5}, 7, {}, 5, "7703840203f36a6983430f3eb7eff24c340473efd90324d212509e95ce28b08f"),
@@ -229,6 +230,8 @@ FROZEN_TRACES = {
     "zero-divergence": ("coastal", {"distance": 9.0, "beam_divergence_full": 0.0}, 7, {}, 10, "09ef06804c4966aa258ac768ec1d3dcd8e0e1e8f3a4214d53e674040ad595453"),
     "fine-bins-small-batches": ("coastal", {"distance": 22.5}, 7, {"bin_width": 1e-11, "batch_size": 7000}, 165, "faee49ec66022819a20e87e29c0f8dd84eb8ea471828f2c50856ecf218057be2"),
     "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "weight_floor": 1e-3}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
+    "coastal-9m-isotropic": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": 0.0}, 1677, "4cb01cd40b31a2e3d1388cc4fa7ceba44aee7e446bf95b0d7449dfe4a742e252"),
+    "coastal-9m-backward-analog": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": -0.3, "ballistic_splitting": False}, 844, "d0e522beae132afa932a6dc9e1db4a9a2fb68adfa79067fe59a38f75d98cd7fe"),
     "harbor-60m-empty": ("harbor", {"distance": 60.0}, 1, {"ballistic_splitting": False, "n_photons": 1_000}, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
 }
 
@@ -237,10 +240,11 @@ FROZEN_TRACES = {
 def test_trace_bytes_are_frozen(name):
     water_name, geometry, seed, options, size, digest = FROZEN_TRACES[name]
     options = dict(options)
+    hg = {"hg_asymmetry": options.pop("hg_asymmetry")} if "hg_asymmetry" in options else {}
     water = (
         u.WaterProperties(absorption=0.0, scattering=0.0)
         if water_name == "lossless"
-        else u.WaterProperties.preset(water_name)
+        else u.WaterProperties.preset(water_name, **hg)
     )
     ir = u.simulate_impulse_response(
         u.LinkGeometry(**geometry),
