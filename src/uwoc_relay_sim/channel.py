@@ -261,22 +261,76 @@ def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
     return (1.0 + g * g - frac * frac) / (2.0 * g)
 
 
-def _rotate_directions(ux, uy, uz, cos_t, phi):
-    """Rotate unit vectors by polar angle theta (cos_t) and azimuth phi."""
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    cos_p = np.cos(phi)
-    sin_p = np.sin(phi)
-    denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
-    nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
-    ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
-    nz = -sin_t * cos_p * denom + uz * cos_t
-    # Along the z axis the frame above is undefined; rotate about z instead.
-    pole = np.flatnonzero(np.abs(uz) > 0.999999)
-    nx[pole] = sin_t[pole] * cos_p[pole]
-    ny[pole] = sin_t[pole] * sin_p[pole]
-    nz[pole] = np.sign(uz[pole]) * cos_t[pole]
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    return nx / norm, ny / norm, nz / norm
+ROTATION_BLOCK = 8192
+"""Photons per block of `_rotate_directions`: its eight scratch rows fit in cache."""
+
+
+def _rotate_directions(ux, uy, uz, cos_t, phi) -> None:
+    """Rotate unit vectors, in place, by polar angle theta (cos_t) and azimuth phi.
+
+    The arithmetic runs in blocks of `ROTATION_BLOCK` photons through
+    preallocated scratch rows, one operation at a time in the order of the
+    whole-array formula, so the result is bit-identical to it while no
+    temporary grows with the number of photons.
+    """
+    sin_t, cos_p, sin_p, denom, nx, ny, nz, tmp = np.empty((8, min(ux.size, ROTATION_BLOCK)))
+    for lo in range(0, ux.size, ROTATION_BLOCK):
+        hi = min(lo + ROTATION_BLOCK, ux.size)
+        m = hi - lo
+        bx, by, bz, bc = ux[lo:hi], uy[lo:hi], uz[lo:hi], cos_t[lo:hi]
+        st, cp, sp, dn = sin_t[:m], cos_p[:m], sin_p[:m], denom[:m]
+        ox, oy, oz, t = nx[:m], ny[:m], nz[:m], tmp[:m]
+        # sin_t = sqrt(max(0, 1 - cos_t^2)); cos and sin of phi;
+        # denom = sqrt(max(1e-24, 1 - uz^2))
+        np.multiply(bc, bc, out=st)
+        np.subtract(1.0, st, out=st)
+        np.maximum(0.0, st, out=st)
+        np.sqrt(st, out=st)
+        np.cos(phi[lo:hi], out=cp)
+        np.sin(phi[lo:hi], out=sp)
+        np.multiply(bz, bz, out=dn)
+        np.subtract(1.0, dn, out=dn)
+        np.maximum(1e-24, dn, out=dn)
+        np.sqrt(dn, out=dn)
+        # nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
+        np.multiply(bx, bz, out=ox)
+        np.multiply(ox, cp, out=ox)
+        np.multiply(by, sp, out=t)
+        np.subtract(ox, t, out=ox)
+        np.multiply(st, ox, out=ox)
+        np.divide(ox, dn, out=ox)
+        np.multiply(bx, bc, out=t)
+        np.add(ox, t, out=ox)
+        # ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
+        np.multiply(by, bz, out=oy)
+        np.multiply(oy, cp, out=oy)
+        np.multiply(bx, sp, out=t)
+        np.add(oy, t, out=oy)
+        np.multiply(st, oy, out=oy)
+        np.divide(oy, dn, out=oy)
+        np.multiply(by, bc, out=t)
+        np.add(oy, t, out=oy)
+        # nz = -sin_t * cos_p * denom + uz * cos_t
+        np.negative(st, out=oz)
+        np.multiply(oz, cp, out=oz)
+        np.multiply(oz, dn, out=oz)
+        np.multiply(bz, bc, out=t)
+        np.add(oz, t, out=oz)
+        # Along the z axis the frame above is undefined; rotate about z instead.
+        pole = np.flatnonzero(np.abs(bz) > 0.999999)
+        ox[pole] = st[pole] * cp[pole]
+        oy[pole] = st[pole] * sp[pole]
+        oz[pole] = np.sign(bz[pole]) * bc[pole]
+        # norm = sqrt(nx^2 + ny^2 + nz^2), kept in the denom row
+        np.multiply(ox, ox, out=dn)
+        np.multiply(oy, oy, out=t)
+        np.add(dn, t, out=dn)
+        np.multiply(oz, oz, out=t)
+        np.add(dn, t, out=dn)
+        np.sqrt(dn, out=dn)
+        np.divide(ox, dn, out=bx)
+        np.divide(oy, dn, out=by)
+        np.divide(oz, dn, out=bz)
 
 
 def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -285,6 +339,14 @@ def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
         total, part = part, total
     total[: part.size] += part
     return total
+
+
+def _launch_directions(rng: np.random.Generator, n: int, theta_half: float):
+    """Unit vectors uniform over the cone of half angle theta_half around +z."""
+    cos_l = 1.0 - rng.random(n) * (1.0 - math.cos(theta_half))
+    sin_l = np.sqrt(np.maximum(0.0, 1.0 - cos_l ** 2))
+    phi_l = rng.random(n) * (2.0 * np.pi)
+    return sin_l * np.cos(phi_l), sin_l * np.sin(phi_l), cos_l
 
 
 def _trace_batch(
@@ -307,30 +369,29 @@ def _trace_batch(
     t_start = d * n_water / SPEED_OF_LIGHT
     hist = np.zeros(1)
 
-    def receive(crossed: np.ndarray, weights: np.ndarray) -> None:
+    def receive(crossed: np.ndarray, ballistic: bool) -> None:
         """Deposit the photons in mask `crossed`, which reach the plane on
         the current flight, that land inside the aperture and field of
-        view; `weights` holds one weight per crossing photon."""
+        view. On the `ballistic` (analytic first) flight each weight also
+        carries the survival exp(-c s) to the plane."""
         nonlocal hist
-        s = s_plane[crossed]
-        xc = x[crossed] + s * ux[crossed]
-        yc = y[crossed] + s * uy[crossed]
-        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[crossed] >= cos_fov)
+        idx = np.flatnonzero(crossed)
+        s = s_plane[idx]
+        xc = x[idx] + s * ux[idx]
+        yc = y[idx] + s * uy[idx]
+        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[idx] >= cos_fov)
         if not ok.any():
             return
-        arrival_times = (path[crossed][ok] + s[ok]) * n_water / SPEED_OF_LIGHT
+        idx = idx[ok]
+        s = s[ok]
+        weights = w[idx] * np.exp(-c * s) if ballistic else w[idx]
+        arrival_times = (path[idx] + s) * n_water / SPEED_OF_LIGHT
         bins = np.floor((arrival_times - t_start) / bin_width).astype(np.int64)
         # Guard against -1 from float cancellation right at t_start.
         bins = np.maximum(bins, 0)
-        hist = _add_histograms(hist, np.bincount(bins, weights=weights[ok]))
+        hist = _add_histograms(hist, np.bincount(bins, weights=weights))
 
-    # Launch: uniform cone of half angle theta_half around +z.
-    cos_l = 1.0 - rng.random(n) * (1.0 - math.cos(theta_half))
-    sin_l = np.sqrt(np.maximum(0.0, 1.0 - cos_l ** 2))
-    phi_l = rng.random(n) * (2.0 * np.pi)
-    ux = sin_l * np.cos(phi_l)
-    uy = sin_l * np.sin(phi_l)
-    uz = cos_l
+    ux, uy, uz = _launch_directions(rng, n, theta_half)
     x = np.zeros(n)
     y = np.zeros(n)
     z = np.zeros(n)
@@ -341,14 +402,16 @@ def _trace_batch(
     # the whole trace (and exp(-c s) is exactly 1).
     analytic_flight = ballistic_splitting or c == 0.0
     while x.size:
-        s_plane = np.divide(d - z, uz, out=np.full(x.size, np.inf), where=uz > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_plane = (d - z) / uz
+        s_plane[uz <= 0.0] = np.inf
         if analytic_flight:
             # Never-scattered contribution integrated analytically, then the
             # first interaction is forced to happen before the plane with
             # the complementary weight. Unbiased; kills the exp(-c d)
             # rare-arrival variance that dominates long hops.
             crossed = np.isfinite(s_plane)
-            receive(crossed, w[crossed] * np.exp(-c * s_plane[crossed]))
+            receive(crossed, ballistic=True)
             if c == 0.0:
                 break
             p_interact = -np.expm1(-c * s_plane)
@@ -359,12 +422,13 @@ def _trace_batch(
         else:
             step = rng.exponential(1.0 / c, x.size)
             crossed = s_plane <= step
-            receive(crossed, w[crossed])
+            receive(crossed, ballistic=False)
 
         # Photons that hit the plane terminate there; the rest interact,
         # and those whose weight falls below the floor stop.
         w = w * albedo
         keep = ~crossed & (w >= weight_floor)
+        del s_plane, crossed  # freed before the compaction and the rotation allocate
         step = step[keep]
         ux = ux[keep]
         uy = uy[keep]
@@ -376,7 +440,7 @@ def _trace_batch(
         w = w[keep]
         cos_t = _henyey_greenstein_cos(water.hg_asymmetry, rng.random(x.size))
         phi = rng.random(x.size) * (2.0 * np.pi)
-        ux, uy, uz = _rotate_directions(ux, uy, uz, cos_t, phi)
+        _rotate_directions(ux, uy, uz, cos_t, phi)
     return hist
 
 
@@ -404,7 +468,9 @@ def simulate_impulse_response(
     Photons are traced in batches of `batch_size`, each driven by a child
     seed spawned from `rng_seed` in a fixed order, so results are
     reproducible and independent of how batches are executed. The same
-    (seed, batch_size) pair always yields bit-identical output.
+    (seed, batch_size) pair always yields bit-identical output. Peak
+    memory scales with `batch_size`, not with `n_photons`: a batch holds
+    about 140 bytes per photon at its peak (about 140 MB at the default).
 
     With `ballistic_splitting` (default) the never-scattered energy is
     added analytically and the traced photons importance-sample the

@@ -114,6 +114,8 @@ _POSITIVE = ((">", 0.0),)
 # of 1e6, so at most 1e4 child seeds are spawned.
 _COUNT = ((">=", 1), ("<=", 10**10))
 _LINK_DEFAULTS = {f.name: f.default for f in fields(LinkGeometry)}
+MAX_SWEEP_STEPS = 10_000
+"""Largest (stop - start) / step of the power sweep: at most 10001 points."""
 
 _FIELDS = (
     _Field("water", "absorption", "absorption", None, _NONNEGATIVE),
@@ -466,6 +468,11 @@ def _config_from_dict(data: dict) -> RunConfig:
         violations.append(f"power_sweep_dbm.start: must be < stop, got {start} >= {stop}")
     if step <= 0.0:
         violations.append(f"power_sweep_dbm.step: must be > 0, got {step}")
+    elif (stop - start) / step > MAX_SWEEP_STEPS:
+        violations.append(
+            f"power_sweep_dbm.step: (stop - start) / step must be <= {MAX_SWEEP_STEPS}, "
+            f"got {(stop - start) / step}"
+        )
     values.update(sweep)
 
     shares = data.get("power_shares")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import uwoc_relay_sim as u
+from uwoc_relay_sim import channel
 from uwoc_relay_sim.constants import SPEED_OF_LIGHT
 
 from conftest import make_ir
@@ -278,6 +279,53 @@ def test_batching_preserves_seed_contract():
         geometry, COASTAL, 90_000, 1e-10, rng_seed=5, batch_size=30_000
     )
     np.testing.assert_array_equal(one.energy_fraction, two.energy_fraction)
+
+
+def rotate_whole_array(ux, uy, uz, cos_t, phi):
+    """The direction update written on whole arrays, one temporary per
+    operation: the oracle for the blocked, in-place `_rotate_directions`."""
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    cos_p = np.cos(phi)
+    sin_p = np.sin(phi)
+    denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
+    nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
+    ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
+    nz = -sin_t * cos_p * denom + uz * cos_t
+    pole = np.flatnonzero(np.abs(uz) > 0.999999)
+    nx[pole] = sin_t[pole] * cos_p[pole]
+    ny[pole] = sin_t[pole] * sin_p[pole]
+    nz[pole] = np.sign(uz[pole]) * cos_t[pole]
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    return nx / norm, ny / norm, nz / norm
+
+
+B = channel.ROTATION_BLOCK
+# Exact poles, and |uz| on both sides of the near-pole threshold 0.999999.
+POLAR_UZ = [
+    1.0, -1.0, 0.999999, -0.999999,
+    np.nextafter(0.999999, 2.0), -np.nextafter(0.999999, 2.0),
+    np.nextafter(0.999999, 0.0), -np.nextafter(0.999999, 0.0),
+]
+
+
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 17])
+def test_blocked_rotation_is_bit_identical_to_whole_array_formula(size):
+    rng = np.random.default_rng(size)
+    uz = rng.uniform(-1.0, 1.0, size)
+    # Scatter the polar values over the array so they fall in different blocks.
+    at = rng.choice(size, min(size, len(POLAR_UZ)), replace=False)
+    uz[at] = POLAR_UZ[: at.size]
+    azimuth = rng.random(size) * (2.0 * np.pi)
+    rho = np.sqrt(1.0 - uz * uz)
+    ux, uy = rho * np.cos(azimuth), rho * np.sin(azimuth)
+    cos_t = channel._henyey_greenstein_cos(COASTAL.hg_asymmetry, rng.random(size))
+    phi = rng.random(size) * (2.0 * np.pi)
+
+    expected = rotate_whole_array(ux, uy, uz, cos_t, phi)
+    rotated = ux.copy(), uy.copy(), uz.copy()
+    channel._rotate_directions(*rotated, cos_t, phi)
+    for want, got in zip(expected, rotated):
+        assert np.array_equal(want, got)
 
 
 def test_causality_t_start(ir_coastal_22p5):

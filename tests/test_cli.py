@@ -435,6 +435,23 @@ def test_cli_count_above_cap_is_a_config_error(tmp_path, capsys, key, value):
     assert load(tmp_path, {**MINIMAL, "mc": {key: 10 ** 10}}).config_hash()
 
 
+@pytest.mark.parametrize(
+    "sweep, ratio",
+    [({"step": 1e-300}, "6e+301"), ({"start": 0.0, "stop": 10.0, "step": 0.0009}, "11111.1")],
+    ids=["step 1e-300", "11112 points"],
+)
+def test_cli_sweep_above_point_cap_is_a_config_error(tmp_path, capsys, sweep, ratio):
+    path = write_config(tmp_path, {**MINIMAL, "power_sweep_dbm": sweep})
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"power_sweep_dbm.step: (stop - start) / step must be <= 10000, got {ratio}" in err
+    assert not (tmp_path / "out").exists()
+    at_cap = {"start": 0.0, "stop": 10.0, "step": 0.001}
+    assert load(tmp_path, {**MINIMAL, "power_sweep_dbm": at_cap}).power_points_dbm().size == 10_001
+
+
 @pytest.mark.parametrize("module", ["uwoc_relay_sim", "uwoc_relay_sim.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
     path = write_config(tmp_path, MINIMAL)
