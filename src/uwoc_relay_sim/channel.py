@@ -262,75 +262,35 @@ def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
 
 
 ROTATION_BLOCK = 8192
-"""Photons per block of `_rotate_directions`: its eight scratch rows fit in cache."""
+"""Photons per block of `_rotate_directions`: one block's temporaries fit in cache."""
 
 
 def _rotate_directions(ux, uy, uz, cos_t, phi) -> None:
     """Rotate unit vectors, in place, by polar angle theta (cos_t) and azimuth phi.
 
-    The arithmetic runs in blocks of `ROTATION_BLOCK` photons through
-    preallocated scratch rows, one operation at a time in the order of the
-    whole-array formula, so the result is bit-identical to it while no
-    temporary grows with the number of photons.
+    The formula runs on blocks of `ROTATION_BLOCK` photons, so its
+    temporaries stay cache-sized; each element sees the same operations as
+    on the whole array, so the result does not depend on the block size.
     """
-    sin_t, cos_p, sin_p, denom, nx, ny, nz, tmp = np.empty((8, min(ux.size, ROTATION_BLOCK)))
     for lo in range(0, ux.size, ROTATION_BLOCK):
-        hi = min(lo + ROTATION_BLOCK, ux.size)
-        m = hi - lo
-        bx, by, bz, bc = ux[lo:hi], uy[lo:hi], uz[lo:hi], cos_t[lo:hi]
-        st, cp, sp, dn = sin_t[:m], cos_p[:m], sin_p[:m], denom[:m]
-        ox, oy, oz, t = nx[:m], ny[:m], nz[:m], tmp[:m]
-        # sin_t = sqrt(max(0, 1 - cos_t^2)); cos and sin of phi;
-        # denom = sqrt(max(1e-24, 1 - uz^2))
-        np.multiply(bc, bc, out=st)
-        np.subtract(1.0, st, out=st)
-        np.maximum(0.0, st, out=st)
-        np.sqrt(st, out=st)
-        np.cos(phi[lo:hi], out=cp)
-        np.sin(phi[lo:hi], out=sp)
-        np.multiply(bz, bz, out=dn)
-        np.subtract(1.0, dn, out=dn)
-        np.maximum(1e-24, dn, out=dn)
-        np.sqrt(dn, out=dn)
-        # nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
-        np.multiply(bx, bz, out=ox)
-        np.multiply(ox, cp, out=ox)
-        np.multiply(by, sp, out=t)
-        np.subtract(ox, t, out=ox)
-        np.multiply(st, ox, out=ox)
-        np.divide(ox, dn, out=ox)
-        np.multiply(bx, bc, out=t)
-        np.add(ox, t, out=ox)
-        # ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
-        np.multiply(by, bz, out=oy)
-        np.multiply(oy, cp, out=oy)
-        np.multiply(bx, sp, out=t)
-        np.add(oy, t, out=oy)
-        np.multiply(st, oy, out=oy)
-        np.divide(oy, dn, out=oy)
-        np.multiply(by, bc, out=t)
-        np.add(oy, t, out=oy)
-        # nz = -sin_t * cos_p * denom + uz * cos_t
-        np.negative(st, out=oz)
-        np.multiply(oz, cp, out=oz)
-        np.multiply(oz, dn, out=oz)
-        np.multiply(bz, bc, out=t)
-        np.add(oz, t, out=oz)
+        blk = slice(lo, lo + ROTATION_BLOCK)
+        bx, by, bz, bc = ux[blk], uy[blk], uz[blk], cos_t[blk]
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - bc * bc))
+        cos_p = np.cos(phi[blk])
+        sin_p = np.sin(phi[blk])
+        denom = np.sqrt(np.maximum(1e-24, 1.0 - bz * bz))
+        nx = sin_t * (bx * bz * cos_p - by * sin_p) / denom + bx * bc
+        ny = sin_t * (by * bz * cos_p + bx * sin_p) / denom + by * bc
+        nz = -sin_t * cos_p * denom + bz * bc
         # Along the z axis the frame above is undefined; rotate about z instead.
         pole = np.flatnonzero(np.abs(bz) > 0.999999)
-        ox[pole] = st[pole] * cp[pole]
-        oy[pole] = st[pole] * sp[pole]
-        oz[pole] = np.sign(bz[pole]) * bc[pole]
-        # norm = sqrt(nx^2 + ny^2 + nz^2), kept in the denom row
-        np.multiply(ox, ox, out=dn)
-        np.multiply(oy, oy, out=t)
-        np.add(dn, t, out=dn)
-        np.multiply(oz, oz, out=t)
-        np.add(dn, t, out=dn)
-        np.sqrt(dn, out=dn)
-        np.divide(ox, dn, out=bx)
-        np.divide(oy, dn, out=by)
-        np.divide(oz, dn, out=bz)
+        nx[pole] = sin_t[pole] * cos_p[pole]
+        ny[pole] = sin_t[pole] * sin_p[pole]
+        nz[pole] = np.sign(bz[pole]) * bc[pole]
+        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+        np.divide(nx, norm, out=bx)
+        np.divide(ny, norm, out=by)
+        np.divide(nz, norm, out=bz)
 
 
 def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -571,6 +531,9 @@ def bit_frame_energies(
         raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
     if not (0.0 < tail_epsilon < 1.0):
         raise ValueError(f"tail_epsilon must be in (0, 1), got {tail_epsilon}")
+    if ir.bin_width > bit_duration:
+        # One slot per bit of the whole trace: a 1 s bin at 1 ns bits is 1e9 slots.
+        raise ValueError(f"bin width {ir.bin_width} s exceeds the bit duration {bit_duration} s")
     frac = ir.energy_fraction
     if frac.sum() == 0.0:
         raise ValueError("impulse response is empty; no received energy to partition")

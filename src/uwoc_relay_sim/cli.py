@@ -116,6 +116,12 @@ _COUNT = ((">=", 1), ("<=", 10**10))
 _LINK_DEFAULTS = {f.name: f.default for f in fields(LinkGeometry)}
 MAX_SWEEP_STEPS = 10_000
 """Largest (stop - start) / step of the power sweep: at most 10001 points."""
+MAX_HOPS = 100
+"""Most hops in a chain; the end-to-end combine is O(hops^2) per power point."""
+MAX_DATA_RATE_BPS = 1e12
+"""Fastest data rate: its default bins, a tenth of a bit, are 0.1 ps wide."""
+MIN_BIN_WIDTH_S = 1e-13
+"""Narrowest `mc.bin_width_s`: a tenth of the shortest bit MAX_DATA_RATE_BPS allows."""
 
 _FIELDS = (
     _Field("water", "absorption", "absorption", None, _NONNEGATIVE),
@@ -152,12 +158,14 @@ _FIELDS = (
     _Field("mc", "n_photons", "mc_n_photons", 1_000_000, _COUNT, integer=True),
     _Field("mc", "n_bits", "mc_n_bits", 1_000_000, _COUNT, integer=True),
     _Field("mc", "seed", "mc_seed", 12345, ((">=", 0),), integer=True),
-    _Field("mc", "bin_width_s", "mc_bin_width_s", None, _POSITIVE),
+    _Field("mc", "bin_width_s", "mc_bin_width_s", None,
+           _POSITIVE + ((">=", MIN_BIN_WIDTH_S),)),
 )
 """Every scalar RunConfig field; it drives parsing, unknown-key checks and `to_dict`."""
 
 # Not RunConfig attributes: hops resolve to `hop_lengths_m`.
-_RELAY_COUNT = _Field("hops", "relay_count", "", None, ((">=", 0),), integer=True)
+_RELAY_COUNT = _Field("hops", "relay_count", "", None, ((">=", 0), ("<=", MAX_HOPS - 1)),
+                      integer=True)
 _DISTANCE = _Field("hops", "end_to_end_distance_m", "", None, _POSITIVE)
 
 _TOP_LEVEL_KEYS = {f.section or f.key for f in _FIELDS} | {
@@ -401,6 +409,9 @@ def _parse_hops(data: dict, violations: list) -> tuple[float, ...]:
     relay_count = _take_number(node, _RELAY_COUNT, violations)
     distance = _take_number(node, _DISTANCE, violations)
     if lengths is not None:
+        if isinstance(lengths, list) and len(lengths) > MAX_HOPS:
+            violations.append(f"hops.lengths_m: at most {MAX_HOPS} hops, got {len(lengths)}")
+            return (1.0,)
         if not _is_number_list(lengths, positive=True):
             violations.append("hops.lengths_m: expected a nonempty list of positive numbers")
             return (1.0,)
@@ -459,6 +470,10 @@ def _config_from_dict(data: dict) -> RunConfig:
         violations.append("data_rates_bps: expected a nonempty list of positive numbers")
     elif len(set(rates)) != len(rates):
         violations.append("data_rates_bps: duplicate entries")
+    elif max(rates) > MAX_DATA_RATE_BPS:
+        violations.append(
+            f"data_rates_bps: each rate must be <= {MAX_DATA_RATE_BPS:g}, got {max(rates):g}"
+        )
 
     sweep = _take_fields(
         _section(data, "power_sweep_dbm", violations), "power_sweep_dbm", violations
@@ -603,6 +618,14 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
     Monte Carlo point draws its seed deterministically from the config
     seed and its (rate, power) position.
     """
+    shortest_bit = 1.0 / max(cfg.data_rates_bps)
+    if cfg.mc_bin_width_s is not None and cfg.mc_bin_width_s > shortest_bit:
+        # Checked here, not at load: `channel` needs no bit slots and accepts any width.
+        problem = (
+            f"mc.bin_width_s: must be <= 1 / max(data_rates_bps) = {shortest_bit:g} s, "
+            f"got {cfg.mc_bin_width_s}"
+        )
+        raise ConfigError("invalid configuration: " + problem, [problem])
     sigmas = _hop_sigmas(cfg)
     fading = [FadingModel(sigma_x_sq=s) for s in sigmas]
     responses = _impulse_responses(cfg)

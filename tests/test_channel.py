@@ -308,8 +308,17 @@ POLAR_UZ = [
 ]
 
 
-@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 3 * B + 17])
-def test_blocked_rotation_is_bit_identical_to_whole_array_formula(size):
+ROTATION_SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 17]
+
+
+# The default block keeps its size-only ids; blocks of 1 and 7 photons
+# check that the result does not depend on the block size.
+@pytest.mark.parametrize("size, block", [
+    pytest.param(size, block, id=str(size) if block == B else f"{size}-block{block}")
+    for block in (B, 1, 7) for size in ROTATION_SIZES
+])
+def test_blocked_rotation_is_bit_identical_to_whole_array_formula(monkeypatch, size, block):
+    monkeypatch.setattr(channel, "ROTATION_BLOCK", block)
     rng = np.random.default_rng(size)
     uz = rng.uniform(-1.0, 1.0, size)
     # Scatter the polar values over the array so they fall in different blocks.
@@ -430,6 +439,14 @@ def test_bit_frame_energies_validation(ir_coastal_22p5):
     empty = u.ImpulseResponse(bin_width=1e-10, t_start=0.0, energy_fraction=np.array([0.0]))
     with pytest.raises(ValueError, match="empty"):
         u.bit_frame_energies(empty)
+
+
+def test_bit_frame_energies_rejects_a_bin_wider_than_a_bit():
+    # Slots span the whole binned response, so a wide bin at a short bit
+    # means one slot per bit of it: a 1 s bin at 1 ns bits is 1e9 slots.
+    wide = u.ImpulseResponse(bin_width=1e-6, t_start=0.0, energy_fraction=np.array([0.4]))
+    with pytest.raises(ValueError, match="bin width 1e-06 s exceeds the bit duration 1e-09 s"):
+        u.bit_frame_energies(wide, bit_duration=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import uwoc_relay_sim as u
+from uwoc_relay_sim import cli
 from uwoc_relay_sim.cli import load_config, main, run_sweep, emit_curves
 from uwoc_relay_sim.errors import ConfigError
 
@@ -450,6 +452,93 @@ def test_cli_sweep_above_point_cap_is_a_config_error(tmp_path, capsys, sweep, ra
     assert not (tmp_path / "out").exists()
     at_cap = {"start": 0.0, "stop": 10.0, "step": 0.001}
     assert load(tmp_path, {**MINIMAL, "power_sweep_dbm": at_cap}).power_points_dbm().size == 10_001
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at its current size plus 1 GiB for
+    the test, so a config that asks for gigabytes fails at once instead of
+    filling memory."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("needs /proc/self/statm to size the address-space cap")
+    in_use = int(statm.read_text().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = in_use + 2**30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def assert_config_error(tmp_path, capsys, data, message, commands):
+    """Each command exits 1 with a configuration-error line holding `message`."""
+    path = write_config(tmp_path, data)
+    for command in commands:
+        args = [command, "--config", str(path)]
+        if command != "validate":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message, at_cap",
+    [
+        ({"hops": {"relay_count": 10**9, "end_to_end_distance_m": 18.0}},
+         "hops.relay_count: must be <= 99, got 1000000000",
+         {"hops": {"relay_count": 99, "end_to_end_distance_m": 18.0}}),
+        ({"hops": {"relay_count": 10**5, "end_to_end_distance_m": 18.0}},
+         "hops.relay_count: must be <= 99, got 100000",
+         {"hops": {"relay_count": 99, "end_to_end_distance_m": 18.0}}),
+        ({"hops": {"lengths_m": [0.09] * 101}}, "hops.lengths_m: at most 100 hops, got 101",
+         {"hops": {"lengths_m": [0.09] * 100}}),
+        ({"data_rates_bps": [1e20]}, "data_rates_bps: each rate must be <= 1e+12, got 1e+20",
+         {"data_rates_bps": [1e12]}),
+        ({"data_rates_bps": [1e14]}, "data_rates_bps: each rate must be <= 1e+12, got 1e+14",
+         {"data_rates_bps": [1e12]}),
+        ({"data_rates_bps": [1e9, 1e300]},
+         "data_rates_bps: each rate must be <= 1e+12, got 1e+300",
+         {"data_rates_bps": [1e9, 1e12]}),
+        ({"mc": {"bin_width_s": 1e-20}}, "mc.bin_width_s: must be >= 1e-13, got 1e-20",
+         {"mc": {"bin_width_s": 1e-13}}),
+    ],
+    ids=["relay_count 1e9", "relay_count 1e5", "101 lengths",
+         "rate 1e20", "rate 1e14", "rate 1e300", "bin 1e-20"],
+)
+def test_cli_value_beyond_a_memory_cap_is_a_config_error(
+    tmp_path, capsys, address_space_cap, change, message, at_cap
+):
+    assert_config_error(tmp_path, capsys, {**MINIMAL, **change}, message,
+                        ("validate", "channel", "run"))
+    load(tmp_path, {**MINIMAL, **at_cap})
+
+
+@pytest.mark.parametrize("bin_width", [1.0, 1e-5])
+def test_cli_run_rejects_a_bin_wider_than_the_shortest_bit(
+    tmp_path, capsys, monkeypatch, bin_width
+):
+    data = {**MINIMAL, "data_rates_bps": [5e8, 1e9],
+            "power_sweep_dbm": {"start": 10.0, "stop": 20.0, "step": 10.0},
+            "mc": {"n_photons": 20_000, "bin_width_s": bin_width}}
+    # `channel` needs no bit slots, so it traces at any bin width.
+    path = write_config(tmp_path, data)
+    assert main(["channel", "--config", str(path), "--out", str(tmp_path / "ir")]) == 0
+    capsys.readouterr()
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("photons traced before mc.bin_width_s was checked")
+
+    monkeypatch.setattr(cli, "simulate_impulse_response", no_trace)
+    message = f"mc.bin_width_s: must be <= 1 / max(data_rates_bps) = 1e-09 s, got {bin_width}"
+    assert_config_error(tmp_path, capsys, data, message, ("run",))
+    monkeypatch.undo()
+    at_cap = write_config(tmp_path, {**data, "mc": {"n_photons": 20_000, "bin_width_s": 1e-9}})
+    assert main(["run", "--config", str(at_cap), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("module", ["uwoc_relay_sim", "uwoc_relay_sim.cli"])
