@@ -223,10 +223,6 @@ class HopBerInputs:
         if not isinstance(self.scale, CountScale):
             raise TypeError(f"scale must be CountScale, got {type(self.scale).__name__}")
 
-    @property
-    def memory(self) -> int:
-        return self.energies.memory
-
 
 @dataclass(frozen=True)
 class SaddlePointResult:

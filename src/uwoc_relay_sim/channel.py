@@ -60,8 +60,11 @@ DEFAULT_WAVELENGTH = 532e-9
 DEFAULT_TAIL_EPSILON = 1e-6
 """Relative tail mass of the slot energies left out of the channel memory."""
 
-DEFAULT_WEIGHT_FLOOR = 1e-6
+WEIGHT_FLOOR = 1e-6
 """Photon weight below which tracing stops; bounds runtime in turbid water."""
+
+TRACE_BATCH = 1_000_000
+"""Photons per traced batch, each with its own child seed; bounds peak memory."""
 
 
 @dataclass(frozen=True)
@@ -315,7 +318,6 @@ def _trace_batch(
     geometry: LinkGeometry,
     water: WaterProperties,
     bin_width: float,
-    weight_floor: float,
     ballistic_splitting: bool,
 ) -> np.ndarray:
     """Trace one photon batch; returns the summed weight histogram (not normalized)."""
@@ -387,7 +389,7 @@ def _trace_batch(
         # Photons that hit the plane terminate there; the rest interact,
         # and those whose weight falls below the floor stop.
         w = w * albedo
-        keep = ~crossed & (w >= weight_floor)
+        keep = ~crossed & (w >= WEIGHT_FLOOR)
         del s_plane, crossed  # freed before the compaction and the rotation allocate
         step = step[keep]
         ux = ux[keep]
@@ -412,25 +414,23 @@ def simulate_impulse_response(
     rng_seed: int,
     *,
     ballistic_splitting: bool = True,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-    batch_size: int = 1_000_000,
 ) -> ImpulseResponse:
     """Monte Carlo estimate of the fading-free impulse response of one hop.
 
     Photons launch at the origin into a cone of the configured beam
     divergence, fly exponential free paths with rate c = a + b, scatter
     through Henyey-Greenstein angles, and lose weight by the albedo b/c at
-    each interaction (weights below `weight_floor` terminate). A photon is
+    each interaction (weights below `WEIGHT_FLOOR` terminate). A photon is
     recorded when it crosses the receiver plane inside the aperture with
     arrival direction within the field-of-view cone; any plane crossing
     terminates the photon.
 
-    Photons are traced in batches of `batch_size`, each driven by a child
+    Photons are traced in batches of `TRACE_BATCH`, each driven by a child
     seed spawned from `rng_seed` in a fixed order, so results are
-    reproducible and independent of how batches are executed. The same
-    (seed, batch_size) pair always yields bit-identical output. Peak
-    memory scales with `batch_size`, not with `n_photons`: a batch holds
-    about 140 bytes per photon at its peak (about 140 MB at the default).
+    reproducible and independent of how batches are executed: a given
+    seed always yields bit-identical output. Peak memory scales with
+    `TRACE_BATCH`, not with `n_photons`: a batch holds about 140 bytes per
+    photon at its peak (about 140 MB for a full batch).
 
     With `ballistic_splitting` (default) the never-scattered energy is
     added analytically and the traced photons importance-sample the
@@ -446,26 +446,15 @@ def simulate_impulse_response(
         raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    if not (math.isfinite(weight_floor) and 0.0 < weight_floor < 1.0):
-        raise ValueError(f"weight_floor must be in (0, 1), got {weight_floor}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-    n_batches = (int(n_photons) + batch_size - 1) // batch_size
-    child_seeds = np.random.SeedSequence(rng_seed).spawn(n_batches)
+    n_batches = -(-int(n_photons) // TRACE_BATCH)
     hist = np.zeros(1)
     remaining = int(n_photons)
-    for child in child_seeds:
-        n_batch = min(batch_size, remaining)
+    for child in np.random.SeedSequence(rng_seed).spawn(n_batches):
+        n_batch = min(TRACE_BATCH, remaining)
         remaining -= n_batch
         part = _trace_batch(
-            np.random.default_rng(child),
-            n_batch,
-            geometry,
-            water,
-            bin_width,
-            weight_floor,
-            ballistic_splitting,
+            np.random.default_rng(child), n_batch, geometry, water, bin_width, ballistic_splitting
         )
         hist = _add_histograms(hist, part)
 
@@ -499,7 +488,7 @@ def _unit_triangle_cdf(x: np.ndarray) -> np.ndarray:
 
 def bit_frame_energies(
     ir: ImpulseResponse,
-    bit_duration: float = 1e-9,
+    bit_duration: float,
     tail_epsilon: float = DEFAULT_TAIL_EPSILON,
 ) -> BitEnergies:
     """Reduce an impulse response to per-bit-slot energy fractions.

@@ -1,5 +1,7 @@
 """Exception types used across the package."""
 
+__all__ = ["ConfigError", "ConvergenceError"]
+
 
 class ConfigError(ValueError):
     """A configuration file or parameter set violates its invariants.

@@ -23,6 +23,12 @@ __all__ = ["SimResult", "run_bit_simulation", "HISTORY_CAP"]
 HISTORY_CAP = 4096
 """Largest per-hop channel memory the simulator accepts."""
 
+SIM_BLOCK = 1_000_000
+"""Scored bits per independent block, each with its own child seed."""
+
+POISSON_GAUSSIAN_SWITCH = 1e4
+"""Count mean above which a Poisson draw is replaced by its normal approximation."""
+
 _WILSON_Z = 1.959963984540054
 """Two-sided 97.5% standard normal quantile, for the 95% interval."""
 
@@ -80,7 +86,6 @@ def _simulate_block(
     chain: RelayChain,
     n_scored: int,
     warmup: int,
-    switch: float,
 ) -> tuple[int, np.ndarray, bool]:
     """One independent block; returns (e2e errors, per-hop errors, switch hit)."""
     n_total = n_scored + warmup
@@ -98,7 +103,7 @@ def _simulate_block(
         m = h * n_ph * slot_energy + noise.n_bd
 
         counts = np.empty(n_total)
-        small = m <= switch
+        small = m <= POISSON_GAUSSIAN_SWITCH
         if small.any():
             counts[small] = rng.poisson(m[small])
         if (~small).any():
@@ -119,23 +124,20 @@ def run_bit_simulation(
     chain: RelayChain,
     n_bits: int,
     seed: int,
-    *,
-    block_size: int = 1_000_000,
-    poisson_gaussian_switch: float = 1e4,
 ) -> SimResult:
     """Estimate the end-to-end BER of a chain by direct bit simulation.
 
-    Bits are processed in independent blocks of at most `block_size`,
-    each with its own child seed spawned from `seed` in a fixed order, so
-    the result is bit-identical for a given (seed, block_size) regardless
-    of execution order. Every block starts cold (all-zero ISI history)
-    and its first sum-of-memories bits are excluded from error counting
-    to remove the transient.
+    Bits are processed in independent blocks of at most `SIM_BLOCK`, each
+    with its own child seed spawned from `seed` in a fixed order, so the
+    result is bit-identical for a given seed regardless of execution
+    order. Every block starts cold (all-zero ISI history) and its first
+    sum-of-memories bits are excluded from error counting to remove the
+    transient.
 
     Per bit and per hop the fading coefficient is drawn independently,
     matching the analytical average, and the photoelectron count is
     Poisson with the mean implied by the hop's detected bit history
-    (Gaussian-approximated above `poisson_gaussian_switch`, which only
+    (Gaussian-approximated above `POISSON_GAUSSIAN_SWITCH`, which only
     matters when thermal noise dwarfs the Poisson granularity anyway).
 
     The detection threshold uses perfect CSI: h N_ph e_signal / 2 + n_bd,
@@ -145,10 +147,6 @@ def run_bit_simulation(
     """
     if not isinstance(n_bits, (int, np.integer)) or n_bits < 1:
         raise ValueError(f"n_bits must be a positive integer, got {n_bits!r}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if not (math.isfinite(poisson_gaussian_switch) and poisson_gaussian_switch >= 0.0):
-        raise ValueError(f"poisson_gaussian_switch must be >= 0, got {poisson_gaussian_switch}")
     memories = [hop.energies.memory for hop in chain.hops]
     too_deep = [i for i, m in enumerate(memories) if m > HISTORY_CAP]
     if too_deep:
@@ -157,21 +155,16 @@ def run_bit_simulation(
         )
     warmup = sum(memories)
 
-    n_blocks = (int(n_bits) + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    n_blocks = -(-int(n_bits) // SIM_BLOCK)
     total_errors = 0
     per_hop = np.zeros(len(chain.hops), dtype=np.int64)
     used_gaussian = False
     remaining = int(n_bits)
-    for child in children:
-        n_scored = min(block_size, remaining)
+    for child in np.random.SeedSequence(seed).spawn(n_blocks):
+        n_scored = min(SIM_BLOCK, remaining)
         remaining -= n_scored
         errs, hop_errs, used = _simulate_block(
-            np.random.default_rng(child),
-            chain,
-            n_scored,
-            warmup,
-            poisson_gaussian_switch,
+            np.random.default_rng(child), chain, n_scored, warmup
         )
         total_errors += errs
         per_hop += hop_errs

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -49,6 +49,9 @@ _A_S = 1.9e-4
 _A_TS = 9.41e-3
 
 _GHQ_MAX_ORDER = 64
+
+SCINT_REL_TOL = 1e-6
+"""Target relative tolerance of the scintillation-index integration."""
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,15 @@ class FadingModel:
     """
 
     sigma_x_sq: float
-    mu_x: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma_x_sq) and self.sigma_x_sq >= 0.0):
             raise ValueError(f"sigma_x_sq must be >= 0, got {self.sigma_x_sq}")
-        object.__setattr__(self, "mu_x", -self.sigma_x_sq)
+
+    @property
+    def mu_x(self) -> float:
+        """Log-amplitude mean -sigma_x_sq, which makes E[h] = 1."""
+        return -self.sigma_x_sq
 
     @property
     def scintillation_index(self) -> float:
@@ -147,7 +153,7 @@ def _nikishov_spectrum(kappa, chi_t, epsilon_diss, w_ratio, eta=KOLMOGOROV_MICRO
     )
 
 
-def scintillation_index_plane_wave(p: TurbulenceParams, rel_tol: float = 1e-6) -> float:
+def scintillation_index_plane_wave(p: TurbulenceParams) -> float:
     """Plane-wave scintillation index over a horizontal oceanic path.
 
     Evaluates the weak-fluctuation double integral
@@ -159,13 +165,12 @@ def scintillation_index_plane_wave(p: TurbulenceParams, rel_tol: float = 1e-6) -
     c = d kappa^2 / k. The kappa axis is split at the scale where the
     kernel starts oscillating; the oscillatory tail is integrated with a
     sine-weighted rule under the substitution u = kappa^2, which makes
-    the phase linear in the integration variable.
+    the phase linear in the integration variable. The adaptive
+    integration targets a relative tolerance of `SCINT_REL_TOL`.
 
     Parameters
     ----------
     p : TurbulenceParams
-    rel_tol : float
-        Target relative tolerance of the adaptive integration.
 
     Returns
     -------
@@ -181,9 +186,9 @@ def scintillation_index_plane_wave(p: TurbulenceParams, rel_tol: float = 1e-6) -
     eta = KOLMOGOROV_MICROSCALE
     kappa_max = 200.0 / eta
     kappa_osc = min(math.sqrt(50.0 / alpha), kappa_max)
-    # Headroom so piecewise sums still meet rel_tol; floor keeps quad clear
+    # Headroom so piecewise sums still meet SCINT_REL_TOL; floor keeps quad clear
     # of pure-roundoff territory.
-    epsrel = max(rel_tol * 1e-3, 5e-13)
+    epsrel = max(SCINT_REL_TOL * 1e-3, 5e-13)
 
     def smooth_kernel(kappa):
         c = alpha * kappa * kappa
@@ -234,11 +239,11 @@ def scintillation_index_plane_wave(p: TurbulenceParams, rel_tol: float = 1e-6) -
         value -= v
         err_budget += e
 
-    si = 8.0 * math.pi ** 2 * k * k * p.distance * value
     scale = 8.0 * math.pi ** 2 * k * k * p.distance
-    if not math.isfinite(si) or scale * err_budget > max(rel_tol * abs(si), 1e-300):
+    si = scale * value
+    if not math.isfinite(si) or scale * err_budget > max(SCINT_REL_TOL * abs(si), 1e-300):
         raise ConvergenceError(
-            f"scintillation index integral did not converge to rel_tol={rel_tol} "
+            f"scintillation index integral did not converge to rel_tol={SCINT_REL_TOL} "
             f"(value={si!r}, error estimate={scale * err_budget!r})"
         )
     if si > 1.0:

@@ -11,7 +11,9 @@ distribution of long channel memories against all 2^L patterns.
 
 from __future__ import annotations
 
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,7 +88,7 @@ def test_count_scale_from_power():
 
 def test_hop_ber_inputs_type_checks():
     hop = synthetic_hop(17.0)
-    assert hop.memory == 0
+    assert hop.energies.memory == 0
     with pytest.raises(TypeError, match="energies"):
         u.HopBerInputs(energies=None, fading=hop.fading, noise=hop.noise, scale=hop.scale)
     with pytest.raises(TypeError, match="fading"):
@@ -464,10 +466,11 @@ def ghqf_oracle_awgn(hop: u.HopBerInputs, order: int = 30) -> float:
     """Hand-rolled pattern average of the conditional AWGN model, summed
     over the library's fading nodes (criterion 2 checks their placement
     against adaptive quadrature)."""
+    memory = hop.energies.memory
     patterns = (
         [[]]
-        if hop.memory == 0
-        else [list(map(int, np.binary_repr(i, hop.memory))) for i in range(2**hop.memory)]
+        if memory == 0
+        else [list(map(int, np.binary_repr(i, memory))) for i in range(2**memory)]
     )
     total = 0.0
     for h, w in zip(*_fading_nodes(hop, "awgn_ghqf", u.ghq_rule(order))):
@@ -490,10 +493,11 @@ def test_hop_average_awgn_matches_hand_rolled_loop(e_isi):
 def saddle_hop_oracle(hop: u.HopBerInputs, order: int = 30) -> float:
     """Per-pattern, per-node exact saddle solves (no interpolation grid) at
     the library's fading nodes."""
+    memory = hop.energies.memory
     patterns = (
         np.zeros((1, 0))
-        if hop.memory == 0
-        else np.array([[int(c) for c in np.binary_repr(i, hop.memory)] for i in range(2**hop.memory)])
+        if memory == 0
+        else np.array([[int(c) for c in np.binary_repr(i, memory)] for i in range(2**memory)])
     )
     isi_sums = patterns @ hop.energies.e_isi * hop.scale.photons_per_bit
     total = 0.0
@@ -625,6 +629,24 @@ def test_hop_average_long_memory_matches_enumeration(memory, power_dbm, method):
     hop = synthetic_hop(power_dbm, e_isi=channel_like_taps(memory))
     got = u.hop_average_ber(hop, method)
     assert got == pytest.approx(enumerated_hop_oracle(hop, method), rel=1e-7)
+
+
+@pytest.mark.parametrize("method", u.BER_METHODS)
+def test_hop_average_debug_diagnostics_leave_the_value_unchanged(method, caplog):
+    # At DEBUG level a long-memory average also logs the change from halving
+    # its ISI grid, and the saddle point its iterations and residuals; the
+    # returned BER must be the same bits as without them.
+    hop = synthetic_hop(18.0, e_isi=channel_like_taps(20))
+    with caplog.at_level(logging.WARNING, logger="uwoc_relay_sim.ber"):
+        quiet = u.hop_average_ber(hop, method)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="uwoc_relay_sim.ber"):
+        loud = u.hop_average_ber(hop, method)
+    messages = [record.getMessage() for record in caplog.records]
+    assert any("L=20 convolved on 16384 grid points" in m for m in messages)
+    saddle = [m for m in messages if re.match(r"saddle point: \d+ elements", m)]
+    assert len(saddle) == (1 if method == "saddle_point" else 0)
+    assert loud.hex() == quiet.hex()
 
 
 def test_hop_average_longest_memory_is_bounded_and_deterministic():

@@ -213,7 +213,8 @@ def test_frozen_impulse_response_regression(ir_coastal_22p5, ir_coastal_45, ir_c
 FROZEN_TRACE_N = 20_000
 FROZEN_TRACES = {
     # name: (water, LinkGeometry fields, seed, options, size, sha256); the options go to
-    # simulate_impulse_response, except hg_asymmetry, which overrides the water preset's.
+    # simulate_impulse_response, except hg_asymmetry, which overrides the water preset's,
+    # and the upper-case names, which replace the `channel` constants of that name.
     "clear-9m-split": ("clear", {"distance": 9.0}, 7, {}, 8, "82ac3e5188b434ab5681d47c42e83922f0d621182b4cc1c2dd5c8a866560116c"),
     "clear-9m-analog": ("clear", {"distance": 9.0}, 7, {"ballistic_splitting": False}, 17, "bd31a868e11f7dd441f26ac578931f8b3735e1f247d4eeaac8e1a01e36f00f98"),
     "clear-22.5m-split": ("clear", {"distance": 22.5}, 7, {}, 5, "7703840203f36a6983430f3eb7eff24c340473efd90324d212509e95ce28b08f"),
@@ -229,8 +230,8 @@ FROZEN_TRACES = {
     "lossless-split": ("lossless", {"distance": 5.0}, 3, {}, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     "lossless-analog": ("lossless", {"distance": 5.0}, 3, {"ballistic_splitting": False}, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     "zero-divergence": ("coastal", {"distance": 9.0, "beam_divergence_full": 0.0}, 7, {}, 10, "09ef06804c4966aa258ac768ec1d3dcd8e0e1e8f3a4214d53e674040ad595453"),
-    "fine-bins-small-batches": ("coastal", {"distance": 22.5}, 7, {"bin_width": 1e-11, "batch_size": 7000}, 165, "faee49ec66022819a20e87e29c0f8dd84eb8ea471828f2c50856ecf218057be2"),
-    "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "weight_floor": 1e-3}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
+    "fine-bins-small-batches": ("coastal", {"distance": 22.5}, 7, {"bin_width": 1e-11, "TRACE_BATCH": 7000}, 165, "faee49ec66022819a20e87e29c0f8dd84eb8ea471828f2c50856ecf218057be2"),
+    "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "WEIGHT_FLOOR": 1e-3}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
     "coastal-9m-isotropic": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": 0.0}, 1677, "4cb01cd40b31a2e3d1388cc4fa7ceba44aee7e446bf95b0d7449dfe4a742e252"),
     "coastal-9m-backward-analog": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": -0.3, "ballistic_splitting": False}, 844, "d0e522beae132afa932a6dc9e1db4a9a2fb68adfa79067fe59a38f75d98cd7fe"),
     "harbor-60m-empty": ("harbor", {"distance": 60.0}, 1, {"ballistic_splitting": False, "n_photons": 1_000}, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
@@ -238,9 +239,11 @@ FROZEN_TRACES = {
 
 
 @pytest.mark.parametrize("name", list(FROZEN_TRACES))
-def test_trace_bytes_are_frozen(name):
+def test_trace_bytes_are_frozen(name, monkeypatch):
     water_name, geometry, seed, options, size, digest = FROZEN_TRACES[name]
     options = dict(options)
+    for constant in [key for key in options if key.isupper()]:
+        monkeypatch.setattr(channel, constant, options.pop(constant))
     hg = {"hg_asymmetry": options.pop("hg_asymmetry")} if "hg_asymmetry" in options else {}
     water = (
         u.WaterProperties(absorption=0.0, scattering=0.0)
@@ -268,17 +271,21 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.energy_fraction, c.energy_fraction)
 
 
-def test_batching_preserves_seed_contract():
-    # The batch split is part of the seed contract: equal batch_size means
-    # equal results regardless of how many batches that implies.
+def test_batching_preserves_seed_contract(monkeypatch):
+    # A trace is its batches, each from the next child seed of the seed,
+    # merged in order, normalised and trimmed of trailing empty bins.
+    monkeypatch.setattr(channel, "TRACE_BATCH", 30_000)
     geometry = u.LinkGeometry(distance=9.0)
-    one = u.simulate_impulse_response(
-        geometry, COASTAL, 90_000, 1e-10, rng_seed=5, batch_size=30_000
-    )
-    two = u.simulate_impulse_response(
-        geometry, COASTAL, 90_000, 1e-10, rng_seed=5, batch_size=30_000
-    )
-    np.testing.assert_array_equal(one.energy_fraction, two.energy_fraction)
+    ir = u.simulate_impulse_response(geometry, COASTAL, 90_000, 1e-10, rng_seed=5)
+    hist = np.zeros(1)
+    for child in np.random.SeedSequence(5).spawn(3):
+        part = channel._trace_batch(
+            np.random.default_rng(child), 30_000, geometry, COASTAL, 1e-10, ballistic_splitting=True
+        )
+        hist = channel._add_histograms(hist, part)
+    frac = hist / 90_000.0
+    merged = frac[: np.flatnonzero(frac)[-1] + 1]
+    assert ir.energy_fraction.tobytes() == merged.tobytes()
 
 
 def rotate_whole_array(ux, uy, uz, cos_t, phi):
@@ -362,10 +369,6 @@ def test_simulate_impulse_response_validation():
         u.simulate_impulse_response(geometry, COASTAL, 0, 1e-10, rng_seed=1)
     with pytest.raises(ValueError, match="bin_width"):
         u.simulate_impulse_response(geometry, COASTAL, 100, 0.0, rng_seed=1)
-    with pytest.raises(ValueError, match="weight_floor"):
-        u.simulate_impulse_response(geometry, COASTAL, 100, 1e-10, rng_seed=1, weight_floor=1.5)
-    with pytest.raises(ValueError, match="batch_size"):
-        u.simulate_impulse_response(geometry, COASTAL, 100, 1e-10, rng_seed=1, batch_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +438,10 @@ def test_bit_frame_energies_validation(ir_coastal_22p5):
     with pytest.raises(ValueError, match="bit_duration"):
         u.bit_frame_energies(ir_coastal_22p5, bit_duration=0.0)
     with pytest.raises(ValueError, match="tail_epsilon"):
-        u.bit_frame_energies(ir_coastal_22p5, tail_epsilon=0.0)
+        u.bit_frame_energies(ir_coastal_22p5, 1e-9, tail_epsilon=0.0)
     empty = u.ImpulseResponse(bin_width=1e-10, t_start=0.0, energy_fraction=np.array([0.0]))
     with pytest.raises(ValueError, match="empty"):
-        u.bit_frame_energies(empty)
+        u.bit_frame_energies(empty, 1e-9)
 
 
 def test_bit_frame_energies_rejects_a_bin_wider_than_a_bit():

@@ -1,0 +1,84 @@
+"""The package's public surface: the names the six library modules export."""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+import uwoc_relay_sim as u
+from uwoc_relay_sim import ber, channel, errors, relay, simulate, turbulence
+
+MODULES = (ber, channel, errors, relay, simulate, turbulence)
+
+PUBLIC_NAMES = [
+    "__version__",
+    "BER_METHODS",
+    "BitEnergies",
+    "ChainBerResult",
+    "ConfigError",
+    "ConvergenceError",
+    "CountScale",
+    "FadingModel",
+    "GhqRule",
+    "HISTORY_CAP",
+    "HopBerInputs",
+    "HopBerVector",
+    "ISI_ENUMERATION_CAP",
+    "ImpulseResponse",
+    "LinkGeometry",
+    "NoiseModel",
+    "RelayChain",
+    "SaddlePointResult",
+    "SimResult",
+    "TurbulenceParams",
+    "WATER_PRESETS",
+    "WaterProperties",
+    "bit_frame_energies",
+    "chain_average_ber",
+    "channel_memory",
+    "conditional_ber_awgn",
+    "e2e_ber_exact",
+    "e2e_ber_identical",
+    "e2e_ber_upper",
+    "fading_pdf",
+    "gaussian_ber",
+    "ghq_rule",
+    "hop_average_ber",
+    "poisson_means",
+    "prob_u_incorrect",
+    "run_bit_simulation",
+    "saddle_point_ber",
+    "sample_fading",
+    "scintillation_index_plane_wave",
+    "sigma_x_sq_from_si",
+    "simulate_impulse_response",
+]
+
+
+def test_public_names_are_pinned():
+    assert u.__all__ == PUBLIC_NAMES
+
+
+def test_public_names_are_the_modules_exports():
+    exported = {name for module in MODULES for name in module.__all__}
+    assert u.__all__ == ["__version__", *sorted(exported)]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(u, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "function", [u.simulate_impulse_response, u.run_bit_simulation, u.scintillation_index_plane_wave]
+)
+def test_estimators_take_no_result_changing_options(function):
+    # Batch and block sizes, the weight floor, the Poisson/Gaussian switch
+    # and the integration tolerance are module constants: a result depends
+    # on its inputs and seed alone.
+    removed = {"batch_size", "weight_floor", "block_size", "poisson_gaussian_switch", "rel_tol"}
+    assert removed.isdisjoint(inspect.signature(function).parameters)
+
+
+def test_bit_frame_energies_requires_the_bit_duration():
+    bit_duration = inspect.signature(u.bit_frame_energies).parameters["bit_duration"]
+    assert bit_duration.default is inspect.Parameter.empty

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import uwoc_relay_sim as u
+from uwoc_relay_sim import simulate
 from uwoc_relay_sim.simulate import _wilson_interval
 
 from conftest import synthetic_hop
@@ -49,10 +50,11 @@ def test_bit_exact_determinism():
     assert c.n_errors != a.n_errors
 
 
-def test_multi_block_determinism_and_bookkeeping():
+def test_multi_block_determinism_and_bookkeeping(monkeypatch):
+    monkeypatch.setattr(simulate, "SIM_BLOCK", 50_000)
     chain = single_hop_chain(synthetic_hop(17.0))
-    a = u.run_bit_simulation(chain, 150_000, seed=5, block_size=50_000)
-    b = u.run_bit_simulation(chain, 150_000, seed=5, block_size=50_000)
+    a = u.run_bit_simulation(chain, 150_000, seed=5)
+    b = u.run_bit_simulation(chain, 150_000, seed=5)
     assert a == b
     assert a.n_bits == 150_000
     assert a.per_hop_error_counts == (a.n_errors,)  # single hop: same events
@@ -65,10 +67,6 @@ def test_validation_errors():
     chain = single_hop_chain(synthetic_hop(17.0))
     with pytest.raises(ValueError, match="n_bits"):
         u.run_bit_simulation(chain, 0, seed=1)
-    with pytest.raises(ValueError, match="block_size"):
-        u.run_bit_simulation(chain, 10, seed=1, block_size=0)
-    with pytest.raises(ValueError, match="poisson_gaussian_switch"):
-        u.run_bit_simulation(chain, 10, seed=1, poisson_gaussian_switch=-1.0)
 
 
 def test_history_cap_rejects_huge_memory():
@@ -123,11 +121,13 @@ def test_coin_flip_at_zero_signal():
     assert not res.gaussian_draws_used  # means ~ n_bd << switch
 
 
-def test_gaussian_switch_flag():
+def test_gaussian_switch_flag(monkeypatch):
     chain = single_hop_chain(synthetic_hop(17.0))
-    forced = u.run_bit_simulation(chain, 100_000, seed=4, poisson_gaussian_switch=0.0)
+    monkeypatch.setattr(simulate, "POISSON_GAUSSIAN_SWITCH", 0.0)
+    forced = u.run_bit_simulation(chain, 100_000, seed=4)
     assert forced.gaussian_draws_used
-    never = u.run_bit_simulation(chain, 100_000, seed=4, poisson_gaussian_switch=1e18)
+    monkeypatch.setattr(simulate, "POISSON_GAUSSIAN_SWITCH", 1e18)
+    never = u.run_bit_simulation(chain, 100_000, seed=4)
     assert not never.gaussian_draws_used
     # At these counts (~2e4 per mark) the two count models agree closely.
     assert forced.ber_hat == pytest.approx(never.ber_hat, rel=0.2)

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 import uwoc_relay_sim as u
+from uwoc_relay_sim import turbulence
 from uwoc_relay_sim.turbulence import KOLMOGOROV_MICROSCALE
 
 from conftest import SIGMA_X_SQ, TURB
@@ -86,6 +87,14 @@ def test_si_zero_when_no_temperature_fluctuations():
         chi_t=0.0, epsilon_diss=1e-2, w_ratio=-2.5, wavelength=WAVELENGTH, distance=22.5
     )
     assert u.scintillation_index_plane_wave(p) == 0.0
+
+
+def test_si_tolerance_is_read_at_call_time(monkeypatch):
+    # No quadrature meets a relative tolerance of 1e-30, so the integral
+    # must report that it did not converge.
+    monkeypatch.setattr(turbulence, "SCINT_REL_TOL", 1e-30)
+    with pytest.raises(u.ConvergenceError, match="rel_tol=1e-30"):
+        u.scintillation_index_plane_wave(table_params(22.5))
 
 
 def test_si_scales_with_chi_t():
