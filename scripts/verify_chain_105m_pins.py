@@ -42,7 +42,6 @@ def main() -> None:
                     fading,
                     u.NoiseModel.typical(bit_duration),
                     total_power_per_bit=10 ** ((dbm - 30.0) / 10.0),
-                    data_rate=rate,
                 )
                 result = u.chain_average_ber(chain, method)
                 for i, hop in enumerate(chain.hops):

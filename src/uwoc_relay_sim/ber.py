@@ -45,7 +45,7 @@ from scipy.special import erfc, erfcx
 from .channel import DEFAULT_WAVELENGTH, BitEnergies
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
 from .errors import ConvergenceError
-from .turbulence import FadingModel, GhqRule, ghq_rule
+from .turbulence import FadingModel, ghq_rule
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ __all__ = [
 BER_METHODS = ("awgn_ghqf", "saddle_point", "gaussian")
 
 DEFAULT_GHQ_ORDER = 30
-"""Gauss-Hermite order of the fading average when the caller gives no rule."""
+"""Gauss-Hermite order of the fading average when the caller gives none."""
 
 ISI_ENUMERATION_CAP = 16
 """Largest channel memory averaged by exhaustive 2^L pattern enumeration.
@@ -589,7 +589,7 @@ def _isi_distribution(e_isi: np.ndarray, grid_points: int | None = None):
     return nonzero * step, pmf[nonzero]
 
 
-def _fading_nodes(inputs: HopBerInputs, method: str, ghq: GhqRule):
+def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):
     """Fading coefficients and probability weights for one hop's average.
 
     With h = exp(2 mu_x + 2 sigma_x t) and t standard normal, the average
@@ -605,8 +605,9 @@ def _fading_nodes(inputs: HopBerInputs, method: str, ghq: GhqRule):
     the mode lies at t <= 0; it is the root of (log g)', which needs only
     the Mills ratio phi(v) / Q(v) = sqrt(2 / pi) / erfcx(v / sqrt(2)) and
     so never underflows in the deep tail. sigma_hat = 1 and t_hat = 0
-    give back the fixed rule.
+    give back the fixed rule of order `ghq_order`.
     """
+    nodes, rule_weights = ghq_rule(ghq_order)
     fading = inputs.fading
     if fading.sigma_x_sq == 0.0:
         return np.ones(1), np.ones(1)
@@ -645,16 +646,16 @@ def _fading_nodes(inputs: HopBerInputs, method: str, ghq: GhqRule):
         lo *= 2.0
     t_hat = brentq(lambda t: log_g_slopes(t)[0], lo, 0.0, xtol=1e-12, rtol=8.9e-16)
     sigma_hat = 1.0 / math.sqrt(-log_g_slopes(t_hat)[1])
-    t = t_hat + math.sqrt(2.0) * sigma_hat * ghq.nodes
+    t = t_hat + math.sqrt(2.0) * sigma_hat * nodes
     h = np.exp(2.0 * (fading.mu_x + sigma_x * t))
-    weights = sigma_hat / math.sqrt(math.pi) * ghq.weights * np.exp(ghq.nodes**2 - 0.5 * t * t)
+    weights = sigma_hat / math.sqrt(math.pi) * rule_weights * np.exp(nodes**2 - 0.5 * t * t)
     return h, weights
 
 
 def hop_average_ber(
     inputs: HopBerInputs,
     method: str,
-    ghq: GhqRule | None = None,
+    ghq_order: int = DEFAULT_GHQ_ORDER,
 ) -> float:
     """Average BER of one hop over fading and ISI bit patterns.
 
@@ -680,14 +681,13 @@ def hop_average_ber(
     inputs : HopBerInputs
     method : str
         One of "awgn_ghqf", "saddle_point", "gaussian".
-    ghq : GhqRule, optional
-        Quadrature rule whose order sets the node count;
-        DEFAULT_GHQ_ORDER when omitted.
+    ghq_order : int, optional
+        Node count of the Gauss-Hermite fading average, 1..64.
 
     Raises
     ------
     ValueError
-        On an unknown method.
+        On an unknown method or an invalid quadrature order.
     ConvergenceError
         If the saddle-point solver fails; the message names the
         quadrature node.
@@ -695,10 +695,8 @@ def hop_average_ber(
     if method not in BER_METHODS:
         known = ", ".join(BER_METHODS)
         raise ValueError(f"unknown method {method!r}; expected one of: {known}")
-    if ghq is None:
-        ghq = ghq_rule(DEFAULT_GHQ_ORDER)
-    elif not isinstance(ghq, GhqRule):
-        raise ValueError(f"ghq must be a GhqRule, got {type(ghq).__name__}")
+    # Before the no-signal return, so that every call checks the order.
+    h_nodes, node_weights = _fading_nodes(inputs, method, ghq_order)
 
     energies = inputs.energies
     noise = inputs.noise
@@ -709,7 +707,6 @@ def hop_average_ber(
 
     values, weights = _isi_distribution(energies.e_isi)
     counts = inputs.scale.photons_per_bit * values
-    h_nodes, node_weights = _fading_nodes(inputs, method, ghq)
 
     # conditional(isi_counts) is the method's BER at every (fading node,
     # ISI count) pair; the average weights it by node and ISI probability.

@@ -51,9 +51,9 @@ from .errors import ConfigError, ConvergenceError
 from .relay import RelayChain, chain_average_ber
 from .simulate import run_bit_simulation
 from .turbulence import (
+    _GHQ_MAX_ORDER,
     FadingModel,
     TurbulenceParams,
-    ghq_rule,
     scintillation_index_plane_wave,
     sigma_x_sq_from_si,
 )
@@ -152,8 +152,8 @@ _FIELDS = (
     _Field("power_sweep_dbm", "stop", "sweep_stop_dbm", 50.0),
     # step > 0 is checked in code after start < stop, keeping the order violations are listed in.
     _Field("power_sweep_dbm", "step", "sweep_step_db", 1.0),
-    _Field(None, "ghq_order", "ghq_order", DEFAULT_GHQ_ORDER, ((">=", 1), ("<=", 64)),
-           integer=True),
+    _Field(None, "ghq_order", "ghq_order", DEFAULT_GHQ_ORDER,
+           ((">=", 1), ("<=", _GHQ_MAX_ORDER)), integer=True),
     _Field(None, "tail_epsilon", "tail_epsilon", DEFAULT_TAIL_EPSILON, _POSITIVE + (("<", 1),)),
     _Field("mc", "n_photons", "mc_n_photons", 1_000_000, _COUNT, integer=True),
     _Field("mc", "n_bits", "mc_n_bits", 1_000_000, _COUNT, integer=True),
@@ -426,8 +426,9 @@ def _parse_hops(data: dict, violations: list) -> tuple[float, ...]:
                 f"to {sum(lengths)}"
             )
         return lengths
-    if relay_count is None or distance is None:
+    if node.get(_RELAY_COUNT.key) is None or node.get(_DISTANCE.key) is None:
         violations.append("hops: give lengths_m, or both relay_count and end_to_end_distance_m")
+    if relay_count is None or distance is None:
         return (1.0,)
     n_hops = relay_count + 1
     return tuple([distance / n_hops] * n_hops)
@@ -555,7 +556,10 @@ def _derived_seed(base: int, *key: int) -> int:
 
 
 def _dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm} dBm overflows a float in watts") from None
 
 
 def _hop_sigmas(cfg: RunConfig) -> list[float]:
@@ -629,7 +633,6 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
     sigmas = _hop_sigmas(cfg)
     fading = [FadingModel(sigma_x_sq=s) for s in sigmas]
     responses = _impulse_responses(cfg)
-    ghq = ghq_rule(cfg.ghq_order)
     powers_dbm = cfg.power_points_dbm()
     single_rate = len(cfg.data_rates_bps) == 1
     base_metadata = {
@@ -652,25 +655,21 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
         noise = cfg.noise_model(bit_duration)
         memories = [e.memory for e in hop_energies]
 
-        def chain_at(power_w: float) -> RelayChain:
-            return RelayChain.assemble(
-                hop_energies,
-                fading,
-                noise,
-                total_power_per_bit=power_w,
-                data_rate=rate,
-                power_shares=cfg.power_shares,
-                quantum_efficiency=cfg.quantum_efficiency,
-                wavelength=cfg.wavelength_m,
-            )
-
         for method in cfg.methods:
             xs, ys, lows, highs = [], [], [], []
             failed, clamped = [], []
             for idx, dbm in enumerate(powers_dbm.tolist()):
-                chain = chain_at(_dbm_to_watts(dbm))
                 lo = hi = None
                 try:
+                    chain = RelayChain.assemble(
+                        hop_energies,
+                        fading,
+                        noise,
+                        total_power_per_bit=_dbm_to_watts(dbm),
+                        power_shares=cfg.power_shares,
+                        quantum_efficiency=cfg.quantum_efficiency,
+                        wavelength=cfg.wavelength_m,
+                    )
                     if method == "montecarlo":
                         sim = run_bit_simulation(
                             chain,
@@ -679,7 +678,7 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
                         )
                         ber, lo, hi = sim.ber_hat, sim.ci95_low, sim.ci95_high
                     else:
-                        ber = chain_average_ber(chain, method, ghq).exact
+                        ber = chain_average_ber(chain, method, cfg.ghq_order).exact
                 except (ConvergenceError, ValueError) as exc:
                     failed.append({"power_dbm": dbm, "reason": str(exc)})
                     continue

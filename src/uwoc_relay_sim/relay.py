@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ber import DEFAULT_QUANTUM_EFFICIENCY, CountScale, GhqRule, HopBerInputs, hop_average_ber
+from .ber import (
+    DEFAULT_GHQ_ORDER, DEFAULT_QUANTUM_EFFICIENCY, CountScale, HopBerInputs, hop_average_ber,
+)
 from .channel import DEFAULT_WAVELENGTH
 from .errors import ConvergenceError
 
@@ -88,7 +90,6 @@ class RelayChain:
         hop_fading,
         noise,
         total_power_per_bit: float,
-        data_rate: float,
         power_shares=None,
         *,
         quantum_efficiency: float = DEFAULT_QUANTUM_EFFICIENCY,
@@ -97,8 +98,8 @@ class RelayChain:
         """Build a chain whose count scales follow from the power split.
 
         `hop_energies` and `hop_fading` are per-hop sequences; `noise` is
-        one NoiseModel shared by every receiver, and its bit duration must
-        be 1/`data_rate`. Hop i transmits `power_shares[i]` of
+        one NoiseModel shared by every receiver, whose bit duration sets
+        the chain's bit rate. Hop i transmits `power_shares[i]` of
         `total_power_per_bit`; omitted `power_shares` means an equal split.
         """
         n_hops = len(hop_energies)
@@ -115,14 +116,6 @@ class RelayChain:
             raise ValueError(f"power shares must sum to 1, got {sum(shares)}")
         if not (math.isfinite(total_power_per_bit) and total_power_per_bit >= 0.0):
             raise ValueError(f"total_power_per_bit must be >= 0, got {total_power_per_bit}")
-        if not (math.isfinite(data_rate) and data_rate > 0.0):
-            raise ValueError(f"data_rate must be > 0, got {data_rate}")
-        bit_duration = 1.0 / data_rate
-        if not math.isclose(noise.bit_duration, bit_duration, rel_tol=1e-9):
-            raise ValueError(
-                f"noise bit_duration {noise.bit_duration} does not match "
-                f"1/data_rate = {bit_duration}"
-            )
         return cls(
             tuple(
                 HopBerInputs(
@@ -131,7 +124,7 @@ class RelayChain:
                     noise=noise,
                     scale=CountScale.from_power(
                         share * total_power_per_bit,
-                        bit_duration,
+                        noise.bit_duration,
                         quantum_efficiency=quantum_efficiency,
                         wavelength=wavelength,
                     ),
@@ -217,7 +210,9 @@ def e2e_ber_identical(p: float, n_links: int) -> float:
     )
 
 
-def chain_average_ber(chain: RelayChain, method: str, ghq: GhqRule | None = None) -> ChainBerResult:
+def chain_average_ber(
+    chain: RelayChain, method: str, ghq_order: int = DEFAULT_GHQ_ORDER
+) -> ChainBerResult:
     """Average per-hop BERs of a chain and combine them end to end.
 
     Hops fade independently, so each hop's average BER is computed on its
@@ -231,7 +226,7 @@ def chain_average_ber(chain: RelayChain, method: str, ghq: GhqRule | None = None
         key = (id(hop.energies), hop.fading, hop.noise, hop.scale)
         if key not in solved:
             try:
-                solved[key] = hop_average_ber(hop, method, ghq)
+                solved[key] = hop_average_ber(hop, method, ghq_order)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"hop {i}: {exc}") from exc
         per_hop[i] = solved[key]

@@ -19,6 +19,7 @@ Media," SPIE Press, 2005 (plane-wave weak-fluctuation theory).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .errors import ConvergenceError
 __all__ = [
     "TurbulenceParams",
     "FadingModel",
-    "GhqRule",
     "scintillation_index_plane_wave",
     "sigma_x_sq_from_si",
     "fading_pdf",
@@ -116,23 +116,6 @@ class FadingModel:
     def scintillation_index(self) -> float:
         """S.I. implied by the log-amplitude variance: exp(4 sigma_x_sq) - 1."""
         return math.expm1(4.0 * self.sigma_x_sq)
-
-
-@dataclass(frozen=True)
-class GhqRule:
-    """Gauss-Hermite quadrature rule: integral of exp(-x^2) g(x) dx ~ sum w_q g(x_q)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 1 or len(self.weights) != len(self.nodes):
-            raise ValueError("nodes and weights must be nonempty and of equal length")
-
-    @property
-    def order(self) -> int:
-        """Number of quadrature nodes."""
-        return len(self.nodes)
 
 
 def _nikishov_spectrum(kappa, chi_t, epsilon_diss, w_ratio, eta=KOLMOGOROV_MICROSCALE):
@@ -299,15 +282,23 @@ def sample_fading(f: FadingModel, rng: np.random.Generator, size=None):
     return np.exp(2.0 * x)
 
 
-def ghq_rule(order: int) -> GhqRule:
-    """Gauss-Hermite rule of the given order (1..64).
+def ghq_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule of the given order (1..64): read-only (nodes, weights).
 
+    The integral of exp(-x^2) g(x) dx is approximately sum w_q g(x_q).
     Weights sum to sqrt(pi); nodes are symmetric about zero. Orders above
     64 are rejected: the highest-order weights underflow and add nothing.
+    Each order's rule is computed once and shared by every caller.
     """
-    if not isinstance(order, (int, np.integer)):
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1 or order > _GHQ_MAX_ORDER:
         raise ValueError(f"order must be in 1..{_GHQ_MAX_ORDER}, got {order}")
-    nodes, weights = hermgauss(int(order))
-    return GhqRule(nodes=nodes, weights=weights)
+    return _hermgauss(int(order))
+
+
+@functools.cache
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

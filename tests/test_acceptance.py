@@ -370,19 +370,18 @@ def test_criterion_07_ber_nondecreasing_in_data_rate(fine_irs):
     for rate in rates:
         bit_duration = 1.0 / rate
         energies = [u.bit_frame_energies(fine_irs[d], bit_duration=bit_duration) for d in lengths]
-        per_rate.append((rate, energies, u.NoiseModel.typical(bit_duration)))
+        per_rate.append((energies, u.NoiseModel.typical(bit_duration)))
 
     lines = []
     for method in ("gaussian", "saddle_point"):
         for dbm in (24.0, 28.0, 32.0):
             vals = []
-            for rate, energies, noise in per_rate:
+            for energies, noise in per_rate:
                 chain = u.RelayChain.assemble(
                     energies,
                     fading,
                     noise,
                     total_power_per_bit=10 ** ((dbm - 30.0) / 10.0),
-                    data_rate=rate,
                 )
                 vals.append(u.chain_average_ber(chain, method).exact)
             assert all(b >= a for a, b in zip(vals, vals[1:])), (

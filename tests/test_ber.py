@@ -377,7 +377,7 @@ def test_saddle_solver_matches_oracle_on_hop_grid(ir_coastal_22p5, noise_1ns, po
         noise=noise_1ns,
         scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), 1e-9),
     )
-    h, _ = _fading_nodes(hop, "saddle_point", u.ghq_rule(30))
+    h, _ = _fading_nodes(hop, "saddle_point", 30)
     n_ph = hop.scale.photons_per_bit
     values, _ = ber_module._isi_distribution(hop.energies.e_isi)
     grid = np.linspace(0.0, values.max() * n_ph, 65)
@@ -473,7 +473,7 @@ def ghqf_oracle_awgn(hop: u.HopBerInputs, order: int = 30) -> float:
         else [list(map(int, np.binary_repr(i, memory))) for i in range(2**memory)]
     )
     total = 0.0
-    for h, w in zip(*_fading_nodes(hop, "awgn_ghqf", u.ghq_rule(order))):
+    for h, w in zip(*_fading_nodes(hop, "awgn_ghqf", order)):
         cond = np.mean(
             [
                 0.5 * (u.conditional_ber_awgn(1, b, h, hop) + u.conditional_ber_awgn(0, b, h, hop))
@@ -501,7 +501,7 @@ def saddle_hop_oracle(hop: u.HopBerInputs, order: int = 30) -> float:
     )
     isi_sums = patterns @ hop.energies.e_isi * hop.scale.photons_per_bit
     total = 0.0
-    for h, w in zip(*_fading_nodes(hop, "saddle_point", u.ghq_rule(order))):
+    for h, w in zip(*_fading_nodes(hop, "saddle_point", order)):
         vals = []
         for s in np.atleast_1d(isi_sums):
             m0 = hop.noise.n_bd + h * s
@@ -585,7 +585,7 @@ def enumerated_hop_oracle(hop: u.HopBerInputs, method: str) -> float:
     counts = n_ph * sums
     gamma_s = n_ph * hop.energies.e_signal
     noise = hop.noise
-    h_nodes, weights = _fading_nodes(hop, method, u.ghq_rule(30))
+    h_nodes, weights = _fading_nodes(hop, method, 30)
     if method == "saddle_point":
         grid = np.linspace(0.0, counts.max(), 65)
         m0 = noise.n_bd + np.outer(h_nodes, grid)
@@ -690,5 +690,14 @@ def test_hop_average_validation():
     hop = synthetic_hop(18.0)
     with pytest.raises(ValueError, match="method"):
         u.hop_average_ber(hop, "midpoint")
-    with pytest.raises(ValueError, match="ghq"):
-        u.hop_average_ber(hop, "awgn_ghqf", ghq="thirty")
+
+
+@pytest.mark.parametrize("order", [True, 2.5, 0, 65, "thirty"])
+def test_hop_average_rejects_a_bad_ghq_order(order):
+    hop = synthetic_hop(18.0)
+    no_signal = u.HopBerInputs(energies=hop.energies, fading=hop.fading, noise=hop.noise,
+                               scale=u.CountScale(0.0))
+    for inputs in (hop, no_signal):
+        with pytest.raises(ValueError, match="order"):
+            u.hop_average_ber(inputs, "awgn_ghqf", ghq_order=order)
+    assert u.hop_average_ber(no_signal, "awgn_ghqf") == 0.5

@@ -151,6 +151,14 @@ def test_hops_relay_count_route_and_conflicts(tmp_path):
         load(tmp_path, missing)
 
 
+def test_hops_bad_relay_count_is_its_only_violation(tmp_path):
+    # Both keys are given, so the route is not in question.
+    data = {**MINIMAL, "hops": {"relay_count": 100_000, "end_to_end_distance_m": 18.0}}
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, data)
+    assert err.value.violations == ["hops.relay_count: must be <= 99, got 100000"]
+
+
 def test_turbulence_either_or_and_broadcast(tmp_path):
     both = {**MINIMAL, "turbulence": {"sigma_x_sq": 0.05, "chi_t": 1e-7}}
     with pytest.raises(ConfigError, match="not both"):
@@ -261,6 +269,57 @@ def test_sweep_methods_mutually_consistent(tiny_curves):
         assert by_method[method].y[0] == pytest.approx(by_method["awgn_ghqf"].y[0], rel=0.2)
     mc = by_method["montecarlo"]
     assert mc.ci_low[0] - 0.05 <= by_method["awgn_ghqf"].y[0] <= mc.ci_high[0] + 0.05
+
+
+def test_sweep_ghq_order_reaches_the_quadrature(tiny_curves, tmp_path):
+    _, order_30 = tiny_curves
+    cfg = load(tmp_path, {**TINY_SWEEP, "ghq_order": 12})
+    curves = {c.method: c for c in run_sweep(cfg)}
+    bit_duration = 1.0 / cfg.data_rates_bps[0]
+    responses = cli._impulse_responses(cfg)
+    energies = [
+        u.bit_frame_energies(responses[d], bit_duration=bit_duration,
+                             tail_epsilon=cfg.tail_epsilon)
+        for d in cfg.hop_lengths_m
+    ]
+    fading = [u.FadingModel(sigma_x_sq=s) for s in cfg.sigma_x_sq]
+    noise = cfg.noise_model(bit_duration)
+    for method in u.BER_METHODS:
+        expected = [
+            u.chain_average_ber(
+                u.RelayChain.assemble(energies, fading, noise, cli._dbm_to_watts(dbm),
+                                      quantum_efficiency=cfg.quantum_efficiency,
+                                      wavelength=cfg.wavelength_m),
+                method,
+                12,
+            ).exact
+            for dbm in cfg.power_points_dbm()
+        ]
+        assert list(curves[method].y) == expected
+        assert curves[method].y != next(c.y for c in order_30 if c.method == method)
+
+
+@pytest.mark.parametrize("start", [3040.0, 3290.0], ids=["count overflow", "watts overflow"])
+def test_cli_run_fails_only_the_points_whose_power_overflows(tmp_path, start):
+    # At 3040-3050 dBm the photon count per bit overflows; at 3290-3300
+    # the power in watts does. Either fails its points, not the run.
+    data = {**MINIMAL, "power_sweep_dbm": {"start": start, "stop": start + 10.0, "step": 10.0},
+            "methods": list(cli.SWEEP_METHODS), "mc": {"n_photons": 2000}}
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "uwoc_relay_sim", "run", "--config",
+         str(write_config(tmp_path, data)), "--out", str(out), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert [c["method"] for c in report["curves"]] == list(cli.SWEEP_METHODS)
+    for curve in report["curves"]:
+        assert curve["points"] == []
+        failed = curve["metadata"]["failed_points"]
+        assert [f["power_dbm"] for f in failed] == [start, start + 10.0]
 
 
 def test_sweep_deterministic_and_thread_invariant(tiny_curves, tmp_path, capsys):

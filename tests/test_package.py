@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "ConvergenceError",
     "CountScale",
     "FadingModel",
-    "GhqRule",
     "HISTORY_CAP",
     "HopBerInputs",
     "HopBerVector",
@@ -82,3 +81,11 @@ def test_estimators_take_no_result_changing_options(function):
 def test_bit_frame_energies_requires_the_bit_duration():
     bit_duration = inspect.signature(u.bit_frame_energies).parameters["bit_duration"]
     assert bit_duration.default is inspect.Parameter.empty
+
+
+def test_hop_path_takes_the_order_and_no_rate():
+    # The fading quadrature is named by its order, and a chain's bit rate
+    # is its noise model's.
+    for function in (u.hop_average_ber, u.chain_average_ber):
+        assert list(inspect.signature(function).parameters)[2] == "ghq_order"
+    assert "data_rate" not in inspect.signature(u.RelayChain.assemble).parameters

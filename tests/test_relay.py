@@ -185,7 +185,6 @@ def two_hop_chain(power_dbm: float = 21.0) -> u.RelayChain:
         [hop.fading, hop.fading],
         hop.noise,
         total_power_per_bit=10 ** ((power_dbm - 30.0) / 10.0),
-        data_rate=1e9,
     )
 
 
@@ -204,21 +203,16 @@ def test_relay_chain_validation():
     with pytest.raises(ValueError, match="at least one hop"):
         u.RelayChain(hops=())
     with pytest.raises(ValueError, match="sum to 1"):
-        u.RelayChain.assemble(*two, 1e-3, 1e9, power_shares=(0.7, 0.7))
+        u.RelayChain.assemble(*two, 1e-3, power_shares=(0.7, 0.7))
     with pytest.raises(ValueError, match="power_shares length"):
-        u.RelayChain.assemble(*two, 1e-3, 1e9, power_shares=(1.0,))
-    with pytest.raises(ValueError, match="bit_duration"):
-        # Hop noise says 1 ns, chain says 2 Gbps.
-        u.RelayChain.assemble(*two, 1e-3, 2e9)
-    with pytest.raises(ValueError, match="data_rate must be > 0"):
-        u.RelayChain.assemble(*two, 1e-3, 0.0)
+        u.RelayChain.assemble(*two, 1e-3, power_shares=(1.0,))
     with pytest.raises(ValueError, match="hop 1 noise bit_duration"):
         # Hop 0 at 1 ns, hop 1 at 0.5 ns.
         u.RelayChain(hops=(hop, synthetic_hop(18.0, bit_duration=5e-10)))
     with pytest.raises(TypeError, match="hop 0"):
         u.RelayChain(hops=("hop",))
     with pytest.raises(ValueError, match="equal length"):
-        u.RelayChain.assemble([hop.energies], [], hop.noise, 1e-3, 1e9)
+        u.RelayChain.assemble([hop.energies], [], hop.noise, 1e-3)
 
 
 def test_chain_average_single_hop_exact_equals_upper():
@@ -253,9 +247,9 @@ def test_chain_average_solves_each_distinct_hop_once(monkeypatch):
     chain = three_hop_chain_with_repeat()
     solved = []
 
-    def counting(hop, method, ghq=None):
+    def counting(hop, method, ghq_order):
         solved.append(hop)
-        return u.hop_average_ber(hop, method, ghq)
+        return u.hop_average_ber(hop, method, ghq_order)
 
     monkeypatch.setattr(relay, "hop_average_ber", counting)
     result = u.chain_average_ber(chain, "gaussian")
@@ -269,10 +263,10 @@ def test_chain_average_names_the_failing_hop(monkeypatch):
 
     chain = three_hop_chain_with_repeat()
 
-    def failing_last(hop, method, ghq=None):
+    def failing_last(hop, method, ghq_order):
         if hop is chain.hops[2]:
             raise u.ConvergenceError("no root")
-        return u.hop_average_ber(hop, method, ghq)
+        return u.hop_average_ber(hop, method, ghq_order)
 
     monkeypatch.setattr(relay, "hop_average_ber", failing_last)
     with pytest.raises(u.ConvergenceError, match=r"^hop 2: no root$"):

@@ -169,7 +169,6 @@ def test_two_hop_chain_matches_parity_model():
         [hop.fading, hop.fading],
         hop.noise,
         total_power_per_bit=10 ** ((21.0 - 30.0) / 10.0),
-        data_rate=1e9,
     )
     analytic = u.chain_average_ber(chain, "awgn_ghqf")
     res = u.run_bit_simulation(chain, 2_000_000, seed=99)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
 import uwoc_relay_sim as u
@@ -215,21 +216,32 @@ def test_sample_fading_matches_pdf_histogram():
 
 
 def test_ghq_rule_basics():
-    rule = u.ghq_rule(30)
-    assert rule.order == 30
-    assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
-    assert np.all(rule.weights > 0.0)
+    nodes, weights = u.ghq_rule(30)
+    assert nodes.shape == weights.shape == (30,)
+    assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    assert np.allclose(nodes, -nodes[::-1], atol=1e-12)
+    assert np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 30, 64])
+def test_ghq_rule_is_hermgauss_computed_once(order):
+    nodes, weights = u.ghq_rule(order)
+    expected_nodes, expected_weights = hermgauss(order)
+    assert nodes.tobytes() == expected_nodes.tobytes()
+    assert weights.tobytes() == expected_weights.tobytes()
+    again = u.ghq_rule(order)
+    assert again[0] is nodes and again[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_ghq_polynomial_exactness():
     # An order-V rule integrates exp(-x^2) x^(2k) exactly for 2k <= 2V-1.
-    rule = u.ghq_rule(5)
+    nodes, weights = u.ghq_rule(5)
     for k in range(5):
         exact = math.gamma(k + 0.5)  # = sqrt(pi) (2k-1)!! / 2^k
-        approx = float(rule.weights @ rule.nodes ** (2 * k))
+        approx = float(weights @ nodes ** (2 * k))
         assert approx == pytest.approx(exact, rel=1e-12)
-        odd = float(rule.weights @ rule.nodes ** (2 * k + 1))
+        odd = float(weights @ nodes ** (2 * k + 1))
         assert abs(odd) < 1e-12
 
 
@@ -237,11 +249,11 @@ def test_ghq_lognormal_mean_identity():
     # E[h] under the unit-mean log-normal is 1; the transformed integrand
     # exp(2 sqrt(2 s2) x + 2 mu) is entire, so a 30-node rule is at
     # machine accuracy for every strength used in the package.
-    rule = u.ghq_rule(30)
+    nodes, weights = u.ghq_rule(30)
     for s2 in (0.01, 0.05, 0.25):
         f = u.FadingModel(sigma_x_sq=s2)
-        h = np.exp(2.0 * math.sqrt(2.0 * s2) * rule.nodes + 2.0 * f.mu_x)
-        mean = float(rule.weights @ h) / math.sqrt(math.pi)
+        h = np.exp(2.0 * math.sqrt(2.0 * s2) * nodes + 2.0 * f.mu_x)
+        mean = float(weights @ h) / math.sqrt(math.pi)
         assert mean == pytest.approx(1.0, rel=1e-12)
 
 
@@ -252,3 +264,6 @@ def test_ghq_rule_validation():
         u.ghq_rule(65)
     with pytest.raises(ValueError):
         u.ghq_rule(2.5)
+    u.ghq_rule(1)  # a cached order 1 must not let True through
+    with pytest.raises(ValueError, match="integer"):
+        u.ghq_rule(True)
