@@ -63,6 +63,43 @@ def test_multi_block_determinism_and_bookkeeping(monkeypatch):
     assert a.ci95_high == pytest.approx(hi, rel=1e-12)
 
 
+def three_hop_isi_chain() -> u.RelayChain:
+    # Different taps, powers and fading per hop; the 15 dBm hop crosses
+    # the Poisson-Gaussian switch, the unfaded 13 dBm hop does not.
+    return u.RelayChain(hops=(
+        synthetic_hop(12.0, e_isi=(8e-6, 4e-6)),
+        synthetic_hop(15.0, e_isi=(2e-5,), sigma_x_sq=0.1),
+        synthetic_hop(13.0, e_isi=(1e-5, 5e-6, 2e-6), sigma_x_sq=0.0),
+    ))
+
+
+# Exact results of 1e5-bit runs: any change to the simulator's arithmetic
+# or to the order of its random draws moves them.
+FROZEN_SIMULATIONS = {
+    # name: (chain, simulate constants replaced, seed, n_errors, per-hop errors, Gaussian draws)
+    "poisson-only": (lambda: single_hop_chain(synthetic_hop(8.0, sigma_x_sq=0.02)), {}, 31,
+                     25996, (25996,), False),
+    "mixed": (lambda: single_hop_chain(synthetic_hop(17.0)), {}, 32, 230, (230,), True),
+    "all-gaussian": (lambda: single_hop_chain(synthetic_hop(17.0)),
+                     {"POISSON_GAUSSIAN_SWITCH": 0.0}, 33, 222, (222,), True),
+    "three-hop-isi": (three_hop_isi_chain, {}, 34, 13809, (9045, 3644, 2210), True),
+    "no-fading": (lambda: single_hop_chain(synthetic_hop(12.0, sigma_x_sq=0.0)), {}, 35,
+                  5058, (5058,), False),
+    "multi-block": (three_hop_isi_chain, {"SIM_BLOCK": 30_001}, 36,
+                    13678, (8929, 3711, 2168), True),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_SIMULATIONS))
+def test_simulation_results_are_frozen(name, monkeypatch):
+    make_chain, constants, seed, n_errors, per_hop, gaussian = FROZEN_SIMULATIONS[name]
+    for constant, value in constants.items():
+        monkeypatch.setattr(simulate, constant, value)
+    res = u.run_bit_simulation(make_chain(), 100_000, seed=seed)
+    assert (res.n_errors, res.per_hop_error_counts, res.gaussian_draws_used) == (
+        n_errors, per_hop, gaussian)
+
+
 def test_validation_errors():
     chain = single_hop_chain(synthetic_hop(17.0))
     with pytest.raises(ValueError, match="n_bits"):
