@@ -28,6 +28,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
@@ -64,7 +65,8 @@ WEIGHT_FLOOR = 1e-6
 """Photon weight below which tracing stops; bounds runtime in turbid water."""
 
 TRACE_BATCH = 1_000_000
-"""Photons per traced batch, each with its own child seed; bounds peak memory."""
+"""Photons per traced batch, each with its own child seed; bounds peak memory
+at about 72 bytes per photon of a batch."""
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,54 @@ class ImpulseResponse:
             raise ValueError("impulse response CSV has no bins")
         if len(starts) == 1:
             raise ValueError("impulse response CSV needs at least 2 bins to recover bin_width")
-        width = starts[1] - starts[0]
-        return cls(bin_width=width, t_start=starts[0], energy_fraction=np.array(fracs))
+        starts = np.array(starts)
+        if not np.all(np.diff(starts) > 0.0):
+            raise ValueError("impulse response CSV bin starts must increase")
+        return cls(
+            bin_width=_bin_width_from_starts(starts),
+            t_start=float(starts[0]),
+            energy_fraction=np.array(fracs),
+        )
+
+
+def _bin_width_from_starts(starts: np.ndarray) -> float:
+    """The shortest decimal width w for which starts[0] + k*w gives every start.
+
+    Placing each start starts[0] + k*w early or late is monotone in w, so
+    bisection over the ordered bit patterns of positive floats finds the
+    smallest w that places none early and the largest that places none
+    late. For starts that `to_csv` wrote, every width between them gives
+    every start exactly; of those, the one with the fewest significant
+    digits is returned. Unevenly spaced starts get the shortest decimal
+    between the two bounds.
+    """
+    k = np.arange(starts.size, dtype=float)
+
+    def placed(bits: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return starts[0] + k * np.int64(bits).view(np.float64) - starts
+
+    def first_bits(pred) -> int:
+        # Smallest positive finite float, as bits, where pred turns True.
+        lo, hi = 1, int(np.float64(np.finfo(float).max).view(np.int64))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    none_early = first_bits(lambda b: not np.any(placed(b) < 0.0))
+    none_late = first_bits(lambda b: np.any(placed(b) > 0.0)) - 1
+    low, high = sorted(float(np.int64(b).view(np.float64)) for b in (none_early, none_late))
+    exact = Decimal(low)
+    for digits in range(1, 18):
+        quantum = Decimal(1).scaleb(exact.adjusted() - digits + 1)
+        width = float(exact.quantize(quantum, rounding=ROUND_CEILING))
+        if width <= high:
+            return width
+    return low
 
 
 @dataclass(frozen=True)
@@ -257,15 +305,21 @@ class BitEnergies:
 
 
 def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
-    """Scattering-angle cosines from uniform deviates u in [0, 1)."""
+    """Scattering-angle cosines from uniform deviates u in [0, 1), computed in place in u."""
     if abs(g) < 1e-12:
-        return 1.0 - 2.0 * u
-    frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * u)
-    return (1.0 + g * g - frac * frac) / (2.0 * g)
+        u *= 2.0
+        return np.subtract(1.0, u, out=u)
+    # frac = (1 - g^2) / (1 - g + 2 g u), then cos = (1 + g^2 - frac^2) / (2 g).
+    u *= 2.0 * g
+    u += 1.0 - g
+    np.divide(1.0 - g * g, u, out=u)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0 + g * g, u, out=u)
+    return np.divide(u, 2.0 * g, out=u)
 
 
 ROTATION_BLOCK = 8192
-"""Photons per block of `_rotate_directions`: one block's temporaries fit in cache."""
+"""Photons per block of a tracer step: one block's temporaries fit in cache."""
 
 
 def _rotate_directions(ux, uy, uz, cos_t, phi) -> None:
@@ -304,12 +358,20 @@ def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return total
 
 
-def _launch_directions(rng: np.random.Generator, n: int, theta_half: float):
-    """Unit vectors uniform over the cone of half angle theta_half around +z."""
-    cos_l = 1.0 - rng.random(n) * (1.0 - math.cos(theta_half))
-    sin_l = np.sqrt(np.maximum(0.0, 1.0 - cos_l ** 2))
-    phi_l = rng.random(n) * (2.0 * np.pi)
-    return sin_l * np.cos(phi_l), sin_l * np.sin(phi_l), cos_l
+def _launch_directions(rng: np.random.Generator, theta_half: float, ux, uy, uz) -> None:
+    """Fill (ux, uy, uz) with unit vectors uniform over the cone of half angle
+    theta_half around +z."""
+    rng.random(out=uz)
+    uz *= 1.0 - math.cos(theta_half)
+    np.subtract(1.0, uz, out=uz)
+    rng.random(out=uy)
+    uy *= 2.0 * np.pi
+    for lo in range(0, uz.size, ROTATION_BLOCK):
+        blk = slice(lo, lo + ROTATION_BLOCK)
+        cos_l, phi_l = uz[blk], uy[blk]
+        sin_l = np.sqrt(np.maximum(0.0, 1.0 - cos_l * cos_l))
+        np.multiply(sin_l, np.cos(phi_l), out=ux[blk])
+        np.multiply(sin_l, np.sin(phi_l), out=phi_l)
 
 
 def _trace_batch(
@@ -320,7 +382,16 @@ def _trace_batch(
     bin_width: float,
     ballistic_splitting: bool,
 ) -> np.ndarray:
-    """Trace one photon batch; returns the summed weight histogram (not normalized)."""
+    """Trace one photon batch; returns the summed weight histogram (not normalized).
+
+    The batch lives in one preallocated state of eight arrays plus one
+    buffer of scattering cosines. Each step runs over blocks of
+    `ROTATION_BLOCK` live photons and compacts the kept ones, in place, into
+    the front of the state. A step draws, in this order, the free paths of
+    all live photons, the scattering cosines of all kept ones, and their
+    azimuths; a draw split into consecutive chunks of one distribution
+    returns the same values, so the trace does not depend on the block size.
+    """
     d = geometry.distance
     r_ap = geometry.aperture_diameter / 2.0
     cos_fov = math.cos(math.radians(geometry.half_angle_fov))
@@ -331,78 +402,91 @@ def _trace_batch(
     t_start = d * n_water / SPEED_OF_LIGHT
     hist = np.zeros(1)
 
-    def receive(crossed: np.ndarray, ballistic: bool) -> None:
-        """Deposit the photons in mask `crossed`, which reach the plane on
-        the current flight, that land inside the aperture and field of
-        view. On the `ballistic` (analytic first) flight each weight also
+    def receive(block: np.ndarray, s_plane: np.ndarray, crossed: np.ndarray, ballistic: bool) -> None:
+        """Deposit the photons of `block` in mask `crossed`, which reach the
+        plane on the current flight, that land inside the aperture and field
+        of view. On the `ballistic` (analytic first) flight each weight also
         carries the survival exp(-c s) to the plane."""
-        nonlocal hist
+        nonlocal step_hist
+        bux, buy, buz, bx, by, _, bw, bpath = block
         idx = np.flatnonzero(crossed)
         s = s_plane[idx]
-        xc = x[idx] + s * ux[idx]
-        yc = y[idx] + s * uy[idx]
-        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (uz[idx] >= cos_fov)
+        xc = bx[idx] + s * bux[idx]
+        yc = by[idx] + s * buy[idx]
+        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (buz[idx] >= cos_fov)
         if not ok.any():
             return
         idx = idx[ok]
         s = s[ok]
-        weights = w[idx] * np.exp(-c * s) if ballistic else w[idx]
-        arrival_times = (path[idx] + s) * n_water / SPEED_OF_LIGHT
+        weights = bw[idx] * np.exp(-c * s) if ballistic else bw[idx]
+        arrival_times = (bpath[idx] + s) * n_water / SPEED_OF_LIGHT
         bins = np.floor((arrival_times - t_start) / bin_width).astype(np.int64)
         # Guard against -1 from float cancellation right at t_start.
         bins = np.maximum(bins, 0)
-        hist = _add_histograms(hist, np.bincount(bins, weights=weights))
+        top = int(bins.max()) + 1
+        if top > step_hist.size:
+            step_hist = np.concatenate((step_hist, np.zeros(top - step_hist.size)))
+        # Adds in photon order, as one bincount of the whole step would.
+        np.add.at(step_hist, bins, weights)
 
-    ux, uy, uz = _launch_directions(rng, n, theta_half)
-    x = np.zeros(n)
-    y = np.zeros(n)
-    z = np.zeros(n)
-    w = np.ones(n)
-    path = np.zeros(n)
+    # Rows: direction (ux, uy, uz), position (x, y, z), weight, path length.
+    state = np.zeros((8, n))
+    ux, uy, uz = state[:3]
+    _launch_directions(rng, theta_half, ux, uy, uz)
+    state[6] = 1.0
+    cos_t = np.empty(n)
 
     # Lossless water has no interactions, so its analytic first flight is
     # the whole trace (and exp(-c s) is exactly 1).
     analytic_flight = ballistic_splitting or c == 0.0
-    while x.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_plane = (d - z) / uz
-        s_plane[uz <= 0.0] = np.inf
-        if analytic_flight:
-            # Never-scattered contribution integrated analytically, then the
-            # first interaction is forced to happen before the plane with
-            # the complementary weight. Unbiased; kills the exp(-c d)
-            # rare-arrival variance that dominates long hops.
-            crossed = np.isfinite(s_plane)
-            receive(crossed, ballistic=True)
-            if c == 0.0:
-                break
-            p_interact = -np.expm1(-c * s_plane)
-            step = -np.log1p(-rng.random(x.size) * p_interact) / c
-            w = w * p_interact
-            crossed[:] = False  # the forced interaction comes first
-            analytic_flight = False
-        else:
-            step = rng.exponential(1.0 / c, x.size)
-            crossed = s_plane <= step
-            receive(crossed, ballistic=False)
+    live = n
+    while live:
+        step_hist = np.zeros(0)
+        kept = 0
+        for lo in range(0, live, ROTATION_BLOCK):
+            block = state[:, lo : min(lo + ROTATION_BLOCK, live)]
+            bux, buy, buz, bx, by, bz, bw, bpath = block
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s_plane = (d - bz) / buz
+            s_plane[buz <= 0.0] = np.inf
+            if analytic_flight:
+                # Never-scattered contribution integrated analytically, then the
+                # first interaction is forced to happen before the plane with
+                # the complementary weight. Unbiased; kills the exp(-c d)
+                # rare-arrival variance that dominates long hops.
+                receive(block, s_plane, np.isfinite(s_plane), ballistic=True)
+                if c == 0.0:
+                    continue
+                p_interact = -np.expm1(-c * s_plane)
+                step = -np.log1p(-rng.random(s_plane.size) * p_interact) / c
+                bw *= p_interact
+                crossed = np.zeros(s_plane.size, dtype=bool)  # the forced interaction comes first
+            else:
+                step = rng.exponential(1.0 / c, s_plane.size)
+                crossed = s_plane <= step
+                receive(block, s_plane, crossed, ballistic=False)
 
-        # Photons that hit the plane terminate there; the rest interact,
-        # and those whose weight falls below the floor stop.
-        w = w * albedo
-        keep = ~crossed & (w >= WEIGHT_FLOOR)
-        del s_plane, crossed  # freed before the compaction and the rotation allocate
-        step = step[keep]
-        ux = ux[keep]
-        uy = uy[keep]
-        uz = uz[keep]
-        x = x[keep] + step * ux
-        y = y[keep] + step * uy
-        z = z[keep] + step * uz
-        path = path[keep] + step
-        w = w[keep]
-        cos_t = _henyey_greenstein_cos(water.hg_asymmetry, rng.random(x.size))
-        phi = rng.random(x.size) * (2.0 * np.pi)
-        _rotate_directions(ux, uy, uz, cos_t, phi)
+            # Photons that hit the plane terminate there; the rest interact,
+            # and those whose weight falls below the floor stop.
+            bw *= albedo
+            keep = np.flatnonzero(~crossed & (bw >= WEIGHT_FLOOR))
+            bx += step * bux
+            by += step * buy
+            bz += step * buz
+            bpath += step
+            if kept < lo or keep.size < bw.size:
+                state[:, kept : kept + keep.size] = block[:, keep]
+            kept += keep.size
+        if step_hist.size:
+            hist = _add_histograms(hist, step_hist)
+        analytic_flight = False
+        live = kept
+
+        _henyey_greenstein_cos(water.hg_asymmetry, rng.random(out=cos_t[:live]))
+        for lo in range(0, live, ROTATION_BLOCK):
+            blk = slice(lo, min(lo + ROTATION_BLOCK, live))
+            phi = rng.random(blk.stop - lo) * (2.0 * np.pi)
+            _rotate_directions(ux[blk], uy[blk], uz[blk], cos_t[blk], phi)
     return hist
 
 
@@ -429,8 +513,8 @@ def simulate_impulse_response(
     seed spawned from `rng_seed` in a fixed order, so results are
     reproducible and independent of how batches are executed: a given
     seed always yields bit-identical output. Peak memory scales with
-    `TRACE_BATCH`, not with `n_photons`: a batch holds about 140 bytes per
-    photon at its peak (about 140 MB for a full batch).
+    `TRACE_BATCH`, not with `n_photons`: a batch holds about 72 bytes per
+    photon at its peak (about 72 MB for a full batch).
 
     With `ballistic_splitting` (default) the never-scattered energy is
     added analytically and the traced photons importance-sample the

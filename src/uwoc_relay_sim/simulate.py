@@ -24,7 +24,8 @@ HISTORY_CAP = 4096
 """Largest per-hop channel memory the simulator accepts."""
 
 SIM_BLOCK = 1_000_000
-"""Scored bits per independent block, each with its own child seed."""
+"""Scored bits per independent block, each with its own child seed; bounds peak
+memory at about 40 to 50 bytes per bit of a block, whatever the number of hops."""
 
 POISSON_GAUSSIAN_SWITCH = 1e4
 """Count mean above which a Poisson draw is replaced by its normal approximation."""
@@ -87,7 +88,11 @@ def _simulate_block(
     n_scored: int,
     warmup: int,
 ) -> tuple[int, np.ndarray, bool]:
-    """One independent block; returns (e2e errors, per-hop errors, switch hit)."""
+    """One independent block; returns (e2e errors, per-hop errors, switch hit).
+
+    Each hop computes in place, in the order of the plain formulas, and
+    frees each array after its last use.
+    """
     n_total = n_scored + warmup
     tx = rng.integers(0, 2, size=n_total).astype(np.float64)
     bits = tx
@@ -96,24 +101,36 @@ def _simulate_block(
     for i, hop in enumerate(chain.hops):
         energies = hop.energies
         noise = hop.noise
-        n_ph = hop.scale.photons_per_bit
-        h = sample_fading(hop.fading, rng, size=n_total)
+        # h * N_ph scales both the count mean and the threshold.
+        threshold = sample_fading(hop.fading, rng, size=n_total)
+        threshold *= hop.scale.photons_per_bit
         kernel = np.concatenate(([energies.e_signal], energies.e_isi))
-        slot_energy = np.convolve(bits, kernel)[:n_total]
-        m = h * n_ph * slot_energy + noise.n_bd
+        m = np.convolve(bits, kernel)[:n_total]
+        m *= threshold
+        m += noise.n_bd
+        threshold *= energies.e_signal
+        threshold /= 2.0
+        threshold += noise.n_bd
 
-        counts = np.empty(n_total)
         small = m <= POISSON_GAUSSIAN_SWITCH
-        if small.any():
-            counts[small] = rng.poisson(m[small])
-        if (~small).any():
+        if small.all():
+            counts = rng.poisson(m)
+        else:
+            # Each mean is overwritten by its draw.
             used_gaussian = True
-            big = m[~small]
-            counts[~small] = rng.normal(big, np.sqrt(big))
-        y = counts + rng.normal(0.0, math.sqrt(noise.sigma_th_sq), size=n_total)
+            counts = m
+            counts[small] = rng.poisson(m[small])
+            large = ~small
+            big = m[large]
+            counts[large] = rng.normal(big, np.sqrt(big))
+            del big, large
+        del m, small
+        y = rng.normal(0.0, math.sqrt(noise.sigma_th_sq), size=n_total)
+        y += counts
+        del counts
 
-        threshold = h * n_ph * energies.e_signal / 2.0 + noise.n_bd
-        detected = (y > threshold).astype(np.float64)
+        detected = np.greater(y, threshold, out=y)
+        del threshold
         per_hop_errors[i] = int(np.count_nonzero(detected[warmup:] != bits[warmup:]))
         bits = detected
     n_errors = int(np.count_nonzero(bits[warmup:] != tx[warmup:]))
@@ -130,7 +147,10 @@ def run_bit_simulation(
     Bits are processed in independent blocks of at most `SIM_BLOCK`, each
     with its own child seed spawned from `seed` in a fixed order, so the
     result is bit-identical for a given seed regardless of execution
-    order. Every block starts cold (all-zero ISI history) and its first
+    order. Peak memory scales with `SIM_BLOCK`, not with `n_bits`: a block
+    holds about 40 bytes per bit at its peak, 50 when some counts take
+    the normal approximation (about 40-50 MB for a full block). Every
+    block starts cold (all-zero ISI history) and its first
     sum-of-memories bits are excluded from error counting to remove the
     transient.
 

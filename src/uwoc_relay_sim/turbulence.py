@@ -279,7 +279,10 @@ def sample_fading(f: FadingModel, rng: np.random.Generator, size=None):
             return 1.0
         return np.ones(size)
     x = rng.normal(f.mu_x, math.sqrt(f.sigma_x_sq), size)
-    return np.exp(2.0 * x)
+    if size is None:
+        return np.exp(2.0 * x)
+    x *= 2.0
+    return np.exp(x, out=x)
 
 
 def ghq_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,9 +92,44 @@ def test_impulse_response_csv_round_trip():
     text = ir.to_csv()
     assert text.splitlines()[0] == "bin_start_s,energy_fraction"
     back = u.ImpulseResponse.from_csv(text)
-    assert back.bin_width == pytest.approx(ir.bin_width, rel=1e-12)
+    assert back.bin_width == ir.bin_width
     assert back.t_start == ir.t_start
     np.testing.assert_array_equal(back.energy_fraction, ir.energy_fraction)
+
+
+@pytest.mark.parametrize("bin_width", [1e-9, 1e-10, 2.5e-11, 1e-11, 1e-12])
+@pytest.mark.parametrize("distance", [9.0, 22.5, 45.0, 75.0, 105.0])
+def test_impulse_response_csv_round_trip_keeps_the_bin_width(distance, bin_width):
+    ir = u.ImpulseResponse(
+        bin_width=bin_width,
+        t_start=distance * COASTAL.refractive_index / SPEED_OF_LIGHT,
+        energy_fraction=np.full(64, 1e-4),
+    )
+    assert u.ImpulseResponse.from_csv(ir.to_csv()).bin_width == bin_width
+
+
+def test_impulse_response_csv_round_trip_frames_at_one_bin_per_bit():
+    # A 1 ns bin at 1 Gbps: a width read back one ulp wide is wider than a bit.
+    ir = u.ImpulseResponse(
+        bin_width=1e-9,
+        t_start=9.0 * COASTAL.refractive_index / SPEED_OF_LIGHT,
+        energy_fraction=np.array([1e-2, 2e-4, 3e-6]),
+    )
+    want = u.bit_frame_energies(ir, 1e-9)
+    got = u.bit_frame_energies(u.ImpulseResponse.from_csv(ir.to_csv()), 1e-9)
+    assert got.e_signal == want.e_signal
+    assert got.e_isi.tobytes() == want.e_isi.tobytes()
+
+
+@pytest.mark.parametrize("bin_width", [1.0 / 3e9, 7 * 0.1e-9, 1e-13])
+def test_impulse_response_csv_width_reproduces_every_start(bin_width):
+    # A width that is no short decimal comes back as the shortest one that
+    # writes the same starts.
+    ir = u.ImpulseResponse(bin_width=bin_width, t_start=4.7e-7, energy_fraction=np.full(300, 1e-4))
+    text = ir.to_csv()
+    back = u.ImpulseResponse.from_csv(text)
+    assert back.to_csv() == text
+    assert len(repr(back.bin_width)) <= len(repr(bin_width))
 
 
 def test_impulse_response_csv_errors():
@@ -102,6 +138,8 @@ def test_impulse_response_csv_errors():
     single = u.ImpulseResponse(bin_width=1e-10, t_start=0.0, energy_fraction=np.array([1.0]))
     with pytest.raises(ValueError, match="at least 2 bins"):
         u.ImpulseResponse.from_csv(single.to_csv())
+    with pytest.raises(ValueError, match="must increase"):
+        u.ImpulseResponse.from_csv("bin_start_s,energy_fraction\n1e-9,0.5\n1e-9,0.5\n")
 
 
 def test_bit_energies_validation():
@@ -240,6 +278,23 @@ FROZEN_TRACES = {
 
 @pytest.mark.parametrize("name", list(FROZEN_TRACES))
 def test_trace_bytes_are_frozen(name, monkeypatch):
+    assert_frozen_trace(name, monkeypatch)
+
+
+# Traces that reach the near-pole rotation, lossless water, several
+# batches, isotropic scattering, the weight floor and the analog
+# estimator, each stepped in blocks of 97 photons: a step's blocks, like
+# its rotation, must not move a bit.
+@pytest.mark.parametrize("name", [
+    "zero-divergence", "lossless-split", "lossless-analog", "fine-bins-small-batches",
+    "coastal-9m-isotropic", "weight-floor-1e-3", "coastal-9m-analog",
+])
+def test_trace_bytes_do_not_depend_on_the_block_size(name, monkeypatch):
+    monkeypatch.setattr(channel, "ROTATION_BLOCK", 97)
+    assert_frozen_trace(name, monkeypatch)
+
+
+def assert_frozen_trace(name, monkeypatch):
     water_name, geometry, seed, options, size, digest = FROZEN_TRACES[name]
     options = dict(options)
     for constant in [key for key in options if key.isupper()]:
@@ -286,6 +341,22 @@ def test_batching_preserves_seed_contract(monkeypatch):
     frac = hist / 90_000.0
     merged = frac[: np.flatnonzero(frac)[-1] + 1]
     assert ir.energy_fraction.tobytes() == merged.tobytes()
+
+
+def test_trace_batch_peak_memory_per_photon():
+    # Eight state arrays and the scattering cosines hold 72 bytes per
+    # photon; the temporaries of one block of a step add a few more.
+    n = 100_000
+    tracemalloc.start()
+    try:
+        channel._trace_batch(
+            np.random.default_rng(1), n, u.LinkGeometry(distance=22.5), COASTAL, 1e-10,
+            ballistic_splitting=True,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 90.0, f"peak {peak / n:.1f} bytes per photon"
 
 
 def rotate_whole_array(ux, uy, uz, cos_t, phi):

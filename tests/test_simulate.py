@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def test_simulation_results_are_frozen(name, monkeypatch):
     res = u.run_bit_simulation(make_chain(), 100_000, seed=seed)
     assert (res.n_errors, res.per_hop_error_counts, res.gaussian_draws_used) == (
         n_errors, per_hop, gaussian)
+
+
+def test_simulate_block_peak_memory_per_bit():
+    # Three hops, one past the Poisson-Gaussian switch: each hop's arrays
+    # are computed in place and freed after their last use.
+    n = 200_000
+    chain = three_hop_isi_chain()
+    warmup = sum(hop.energies.memory for hop in chain.hops)
+    tracemalloc.start()
+    try:
+        simulate._simulate_block(np.random.default_rng(1), chain, n, warmup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 70.0, f"peak {peak / n:.1f} bytes per bit"
 
 
 def test_validation_errors():
