@@ -28,7 +28,6 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
@@ -204,7 +203,7 @@ class ImpulseResponse:
         buf = io.StringIO()
         buf.write("bin_start_s,energy_fraction\n")
         for k, frac in enumerate(self.energy_fraction):
-            buf.write(f"{self.t_start + k * self.bin_width!r},{float(frac)!r}\n")
+            buf.write(f"{float(self.t_start + k * self.bin_width)!r},{float(frac)!r}\n")
         return buf.getvalue()
 
     @classmethod
@@ -264,12 +263,13 @@ def _bin_width_from_starts(starts: np.ndarray) -> float:
     none_early = first_bits(lambda b: not np.any(placed(b) < 0.0))
     none_late = first_bits(lambda b: np.any(placed(b) > 0.0)) - 1
     low, high = sorted(float(np.int64(b).view(np.float64)) for b in (none_early, none_late))
-    exact = Decimal(low)
-    for digits in range(1, 18):
-        quantum = Decimal(1).scaleb(exact.adjusted() - digits + 1)
-        width = float(exact.quantize(quantum, rounding=ROUND_CEILING))
-        if width <= high:
-            return width
+    # If a decimal of some length lies in [low, high], rounding low, high or
+    # their midpoint to that length gives one; 17 digits give low itself.
+    for digits in range(1, 17):
+        for x in (low, low + (high - low) / 2.0, high):
+            width = float(f"{x:.{digits - 1}e}")
+            if low <= width <= high:
+                return width
     return low
 
 

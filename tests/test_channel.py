@@ -95,6 +95,11 @@ def test_impulse_response_csv_round_trip():
     assert back.bin_width == ir.bin_width
     assert back.t_start == ir.t_start
     np.testing.assert_array_equal(back.energy_fraction, ir.energy_fraction)
+    # A NumPy start (from a NumPy hop length) writes the same plain numbers.
+    numpy_start = u.ImpulseResponse(
+        bin_width=ir.bin_width, t_start=np.float64(ir.t_start), energy_fraction=ir.energy_fraction
+    )
+    assert numpy_start.to_csv() == text
 
 
 @pytest.mark.parametrize("bin_width", [1e-9, 1e-10, 2.5e-11, 1e-11, 1e-12])
