@@ -225,11 +225,10 @@ class ImpulseResponse:
         starts = np.array(starts)
         if not np.all(np.diff(starts) > 0.0):
             raise ValueError("impulse response CSV bin starts must increase")
-        return cls(
-            bin_width=_bin_width_from_starts(starts),
-            t_start=float(starts[0]),
-            energy_fraction=np.array(fracs),
-        )
+        width = _bin_width_from_starts(starts)
+        if np.max(np.abs(starts[0] + np.arange(starts.size) * width - starts)) > 1e-6 * width:
+            raise ValueError("impulse response CSV bin starts are not evenly spaced")
+        return cls(bin_width=width, t_start=float(starts[0]), energy_fraction=np.array(fracs))
 
 
 def _bin_width_from_starts(starts: np.ndarray) -> float:
@@ -240,8 +239,8 @@ def _bin_width_from_starts(starts: np.ndarray) -> float:
     smallest w that places none early and the largest that places none
     late. For starts that `to_csv` wrote, every width between them gives
     every start exactly; of those, the one with the fewest significant
-    digits is returned. Unevenly spaced starts get the shortest decimal
-    between the two bounds.
+    digits is returned; for starts that no width gives exactly, the
+    shortest decimal between the two bounds.
     """
     k = np.arange(starts.size, dtype=float)
 

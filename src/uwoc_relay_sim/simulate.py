@@ -25,7 +25,7 @@ HISTORY_CAP = 4096
 
 SIM_BLOCK = 1_000_000
 """Scored bits per independent block, each with its own child seed; bounds peak
-memory at about 40 to 50 bytes per bit of a block, whatever the number of hops."""
+memory at about 50 bytes per bit of a block, whatever the number of hops."""
 
 POISSON_GAUSSIAN_SWITCH = 1e4
 """Count mean above which a Poisson draw is replaced by its normal approximation."""
@@ -148,9 +148,8 @@ def run_bit_simulation(
     with its own child seed spawned from `seed` in a fixed order, so the
     result is bit-identical for a given seed regardless of execution
     order. Peak memory scales with `SIM_BLOCK`, not with `n_bits`: a block
-    holds about 40 bytes per bit at its peak, 50 when some counts take
-    the normal approximation (about 40-50 MB for a full block). Every
-    block starts cold (all-zero ISI history) and its first
+    holds about 50 bytes per bit at its peak (about 50 MB for a full
+    block). Every block starts cold (all-zero ISI history) and its first
     sum-of-memories bits are excluded from error counting to remove the
     transient.
 

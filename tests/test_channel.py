@@ -145,6 +145,11 @@ def test_impulse_response_csv_errors():
         u.ImpulseResponse.from_csv(single.to_csv())
     with pytest.raises(ValueError, match="must increase"):
         u.ImpulseResponse.from_csv("bin_start_s,energy_fraction\n1e-9,0.5\n1e-9,0.5\n")
+    with pytest.raises(ValueError, match="not evenly spaced"):
+        u.ImpulseResponse.from_csv("bin_start_s,energy_fraction\n0.0,0.1\n1e-9,0.1\n5e-9,0.1\n")
+    # Hand-written decimal starts that no float width gives exactly are accepted.
+    typed = "bin_start_s,energy_fraction\n0.0,0.1\n1e-10,0.1\n2e-10,0.1\n3e-10,0.1\n"
+    assert u.ImpulseResponse.from_csv(typed).bin_width == 1e-10
 
 
 def test_bit_energies_validation():
