@@ -21,6 +21,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.special import erfcx
 from scipy.stats import norm, poisson
 
 import uwoc_relay_sim as u
@@ -460,6 +461,111 @@ def test_hop_average_zero_isi_energies_match_memoryless():
         assert u.hop_average_ber(padded, method) == pytest.approx(
             u.hop_average_ber(base, method), rel=1e-12
         )
+
+
+def brentq_mode_oracle(hop: u.HopBerInputs, method: str) -> tuple[float, float]:
+    """Mode t_hat of log g and sigma_hat = (-(log g)''(t_hat))^(-1/2) for
+    one hop's fading average, with the mode found by Brent's method on
+    (log g)' in scalar Python arithmetic, independently of the package's
+    Newton iteration."""
+    fading, noise = hop.fading, hop.noise
+    sigma_x = math.sqrt(fading.sigma_x_sq)
+    gamma_s = hop.scale.photons_per_bit * hop.energies.e_signal
+    c = noise.n_bd + noise.sigma_th_sq
+
+    def margin(h):
+        if method == "awgn_ghqf":
+            v = gamma_s * h / (2.0 * math.sqrt(noise.sigma_th_sq + noise.n_bd))
+            return v, v, v
+        root = math.sqrt(c + gamma_s * h)
+        v_s = gamma_s * h / (2.0 * root)
+        return root - math.sqrt(c), v_s, v_s * (1.0 - gamma_s * h / (2.0 * root * root))
+
+    def slopes(t):
+        v, v_s, v_ss = margin(math.exp(2.0 * (fading.mu_x + sigma_x * t)))
+        mills = math.sqrt(2.0 / math.pi) / float(erfcx(v / math.sqrt(2.0)))
+        first = -2.0 * sigma_x * mills * v_s - t
+        second = -4.0 * fading.sigma_x_sq * mills * ((mills - v) * v_s * v_s + v_ss) - 1.0
+        return first, second
+
+    lo = -1.0
+    while slopes(lo)[0] <= 0.0:
+        lo *= 2.0
+    t_hat = brentq(lambda t: slopes(t)[0], lo, 0.0, xtol=1e-12, rtol=8.9e-16)
+    return t_hat, 1.0 / math.sqrt(-slopes(t_hat)[1])
+
+
+@pytest.mark.parametrize("sigma_x_sq", [0.01, 0.06, 0.25])
+@pytest.mark.parametrize("method", u.BER_METHODS)
+def test_fading_mode_matches_brentq_oracle(method, sigma_x_sq):
+    # From BER near 1/2 down to deep tails, at 1 and 10 Gbps. A one-node
+    # rule puts its node at the mode: h = exp(2 mu_x + 2 sigma_x t_hat)
+    # with weight sigma_hat exp(-t_hat^2 / 2).
+    sigma_x = math.sqrt(sigma_x_sq)
+    for bit_duration in (1e-9, 1e-10):
+        for power_dbm in (-10.0, 5.0, 15.0, 25.0, 40.0):
+            hop = synthetic_hop(power_dbm, sigma_x_sq=sigma_x_sq, bit_duration=bit_duration)
+            h, weight = _fading_nodes(hop, method, 1)
+            t_hat = (0.5 * math.log(h[0]) + sigma_x_sq) / sigma_x
+            t_ref, sigma_ref = brentq_mode_oracle(hop, method)
+            assert abs(t_hat - t_ref) <= 1e-10, (bit_duration, power_dbm)
+            assert weight[0] == pytest.approx(sigma_ref * math.exp(-0.5 * t_ref**2), rel=1e-9)
+
+
+def test_fading_mode_without_fading_or_signal():
+    # No fading: the one node h = 1 of weight 1. No signal: log g = -t^2/2,
+    # whose mode is 0 and curvature 1, so the rule is the fixed one.
+    hop = synthetic_hop(18.0, sigma_x_sq=0.0)
+    for method in u.BER_METHODS:
+        h, w = _fading_nodes(hop, method, 30)
+        assert h.tolist() == [1.0] and w.tolist() == [1.0]
+    hop = synthetic_hop(18.0)
+    dark = u.HopBerInputs(energies=hop.energies, fading=hop.fading, noise=hop.noise,
+                          scale=u.CountScale(photons_per_bit=0.0))
+    nodes, rule_weights = u.ghq_rule(30)
+    sigma_x = math.sqrt(hop.fading.sigma_x_sq)
+    for method in u.BER_METHODS:
+        h, w = _fading_nodes(dark, method, 30)
+        t = math.sqrt(2.0) * nodes
+        np.testing.assert_allclose(h, np.exp(2.0 * (hop.fading.mu_x + sigma_x * t)), rtol=1e-15)
+        np.testing.assert_allclose(w, rule_weights / math.sqrt(math.pi), rtol=1e-14)
+
+
+def test_fading_mode_logs_its_newton_iterations(caplog):
+    with caplog.at_level(logging.DEBUG, logger="uwoc_relay_sim.ber"):
+        u.hop_average_ber(synthetic_hop(18.0), "awgn_ghqf")
+    iterations = re.findall(r"fading mode \(awgn_ghqf\): t=\S+ after (\d+) Newton iterations",
+                            caplog.text)
+    assert len(iterations) == 1 and 0 < int(iterations[0]) < 20
+
+
+def pchip_cases():
+    """(knots, rows) pairs: decreasing log-BER-like rows, flat runs, sign
+    changes of the slope, constant rows, on 2-, 3-, 65- and 70-knot grids."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (2, 3, 5, 65, 70):
+        x = np.linspace(0.0, float(rng.uniform(1.0, 1e6)), n)
+        if n == 70:
+            x = np.sort(rng.uniform(0.0, 50.0, n))
+        decreasing = np.cumsum(-rng.exponential(3.0, (4, n)), axis=1) - 40.0
+        steps = np.round(rng.normal(0.0, 1.5, (4, n)))
+        wiggle = rng.normal(0.0, 1.0, (4, n))
+        constant = np.full((1, n), -7.25)
+        cases.append((x, np.vstack([decreasing, steps, wiggle, constant])))
+    return cases
+
+
+@pytest.mark.parametrize("x,y", pchip_cases(), ids=lambda v: f"{v.shape}")
+def test_pchip_is_scipy_pchip_to_the_bit(x, y):
+    # At every knot, both ends, and points between the knots.
+    rng = np.random.default_rng(x.size)
+    points = np.concatenate([x, [x[0], x[-1]], rng.uniform(x[0], x[-1], 300),
+                             0.5 * (x[1:] + x[:-1])])
+    expected = PchipInterpolator(x, y, axis=1)(points)
+    got = ber_module._pchip(x, y)(points)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def ghqf_oracle_awgn(hop: u.HopBerInputs, order: int = 30) -> float:

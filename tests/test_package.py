@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +91,16 @@ def test_hop_path_takes_the_order_and_no_rate():
     for function in (u.hop_average_ber, u.chain_average_ber):
         assert list(inspect.signature(function).parameters)[2] == "ghq_order"
     assert "data_rate" not in inspect.signature(u.RelayChain.assemble).parameters
+
+
+def test_scipy_special_is_the_only_scipy_import():
+    # At module level or inside a function: numpy and scipy.special are
+    # the run path's only numerical dependencies.
+    imported = set()
+    for path in Path(u.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert {name for name in imported if name.split(".")[0] == "scipy"} == {"scipy.special"}
