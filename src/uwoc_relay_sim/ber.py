@@ -687,12 +687,12 @@ def _pchip(x, y):
         d = np.concatenate([slope, slope], axis=1)
     else:
         d = np.zeros_like(y)
-        m0, m1 = slope[:, :-1], slope[:, 1:]
-        flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+        left, right = slope[:, :-1], slope[:, 1:]
+        flat = (np.sign(right) != np.sign(left)) | (right == 0) | (left == 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            mean = (w1 / m0 + w2 / m1) / (w1 + w2)
+            mean = (w1 / left + w2 / right) / (w1 + w2)
         d[:, 1:-1] = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, mean))
         for end, h0, h1, m0, m1 in ((0, h[0], h[1], slope[:, 0], slope[:, 1]),
                                     (-1, h[-1], h[-2], slope[:, -1], slope[:, -2])):

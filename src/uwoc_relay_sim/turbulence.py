@@ -230,29 +230,24 @@ def scintillation_index_plane_wave(p: TurbulenceParams) -> float:
             kappa = np.exp(t)
             return kappa * kappa * spectrum(kappa) * kernel(alpha * kappa * kappa)
 
-        return _gauss_legendre_panels(edges, integrand)
+        panels, err, magnitude, nodes = _gauss_legendre_panels(edges, integrand)
+        return float(panels.sum()), err, magnitude, nodes
 
-    panels, err, magnitude, nodes = log_kappa_panels(
-        kappa_osc * 1e-8, kappa_osc, _one_minus_sinc
-    )
-    value = float(panels.sum())
+    parts = [log_kappa_panels(kappa_osc * 1e-8, kappa_osc, _one_minus_sinc)]
     if kappa_osc < kappa_max:
-        panels, e, m, n = log_kappa_panels(kappa_osc, kappa_max, np.ones_like)
-        value += float(panels.sum())
-        err, magnitude, nodes = err + e, magnitude + m, nodes + n
-
+        parts.append(log_kappa_panels(kappa_osc, kappa_max, np.ones_like))
         u_osc = kappa_osc * kappa_osc
         period = math.pi / alpha
         zeros = (math.ceil(u_osc / period) + np.arange(_TAIL_HALF_PERIODS + 1)) * period
-        panels, e, m, n = _gauss_legendre_panels(
+        panels, err, magnitude, nodes = _gauss_legendre_panels(
             np.concatenate([[u_osc], zeros]),
             lambda u: spectrum(np.sqrt(u)) * np.sin(alpha * u) / (2.0 * alpha * u),
         )
         sums = np.cumsum(panels)[-(_EULER_LEVELS + 2):]
         for _ in range(_EULER_LEVELS):
             sums = 0.5 * (sums[1:] + sums[:-1])
-        value -= float(sums[1])
-        err, magnitude, nodes = err + e + abs(float(sums[1] - sums[0])), magnitude + m, nodes + n
+        parts.append((-float(sums[1]), err + abs(float(sums[1] - sums[0])), magnitude, nodes))
+    value, err, magnitude, nodes = (sum(column) for column in zip(*parts))
 
     err += 50.0 * math.ulp(1.0) * magnitude
     scale = 8.0 * math.pi ** 2 * k * k * p.distance

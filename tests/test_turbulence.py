@@ -154,6 +154,22 @@ def test_si_matches_quad_oracle(distance, wavelength, chi_t, epsilon_diss, w_rat
     assert u.scintillation_index_plane_wave(p) == pytest.approx(quad_si_oracle(p), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:scintillation index")
+def test_si_panels_are_converged(monkeypatch):
+    # Twice the panels, twice the tail and four more Euler levels move the
+    # integral by rounding only; the QUADPACK oracle is up to 7e-14 off,
+    # from the cancellation in its 1 - sin(c)/c just above c = 1e-4.
+    cases = [u.TurbulenceParams(chi_t=2e-7, epsilon_diss=1.5e-5, w_ratio=w, wavelength=lam,
+                                distance=d)
+             for d, lam, w in itertools.product((0.5, 22.5, 200.0), (450e-9, 650e-9), (-0.5, -5.0))]
+    default = [u.scintillation_index_plane_wave(p) for p in cases]
+    monkeypatch.setattr(turbulence, "_PANELS_PER_DECADE", 2 * turbulence._PANELS_PER_DECADE)
+    monkeypatch.setattr(turbulence, "_TAIL_HALF_PERIODS", 2 * turbulence._TAIL_HALF_PERIODS)
+    monkeypatch.setattr(turbulence, "_EULER_LEVELS", turbulence._EULER_LEVELS + 4)
+    finer = [u.scintillation_index_plane_wave(p) for p in cases]
+    assert default == pytest.approx(finer, rel=2e-15)
+
+
 def test_si_logs_its_error_estimate_and_node_count(caplog):
     p = table_params(22.5)
     quiet = u.scintillation_index_plane_wave(p)
