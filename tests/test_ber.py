@@ -541,7 +541,7 @@ def test_fading_mode_logs_its_newton_iterations(caplog):
 
 def pchip_cases():
     """(knots, rows) pairs: decreasing log-BER-like rows, flat runs, sign
-    changes of the slope, constant rows, on 2-, 3-, 65- and 70-knot grids."""
+    changes of the slope, constant rows, on 2-, 3-, 5-, 65- and 70-knot grids."""
     rng = np.random.default_rng(11)
     cases = []
     for n in (2, 3, 5, 65, 70):
