@@ -45,7 +45,7 @@ def main() -> None:
                 )
                 result = u.chain_average_ber(chain, method)
                 for i, hop in enumerate(chain.hops):
-                    p = float(result.per_hop.p[i])
+                    p = float(result.per_hop[i])
                     oracle = quad_fading_oracle(hop, method)
                     rel = abs(p - oracle) / oracle
                     worst = max(worst, rel)

@@ -1,7 +1,7 @@
 """Single-hop BER models for an OOK integrate-and-dump receiver.
 
 Three receiver analyses share one set of inputs (slot energies, fading,
-noise, photon scale):
+noise, photons per bit):
 
 * an analytical AWGN model with a fixed CSI midpoint threshold, where
   signal-independent noise is Gaussian with variance sigma_Tb^2,
@@ -49,7 +49,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "NoiseModel",
-    "CountScale",
     "HopBerInputs",
     "SaddlePointResult",
     "conditional_ber_awgn",
@@ -57,6 +56,7 @@ __all__ = [
     "saddle_point_ber",
     "gaussian_ber",
     "hop_average_ber",
+    "photons_per_bit",
     "BER_METHODS",
     "ISI_ENUMERATION_CAP",
 ]
@@ -163,53 +163,43 @@ class NoiseModel:
         )
 
 
-@dataclass(frozen=True)
-class CountScale:
-    """Mean signal photoelectron count for an all-captured bit of energy.
+def photons_per_bit(
+    power: float,
+    bit_duration: float,
+    *,
+    quantum_efficiency: float = DEFAULT_QUANTUM_EFFICIENCY,
+    wavelength: float = DEFAULT_WAVELENGTH,
+) -> float:
+    """Mean signal photoelectron count N_ph of a fully captured bit.
 
-    Multiplied by a slot's energy fraction this gives the Poisson mean
-    contributed by that slot, so responsivity never appears elsewhere.
+    N_ph = eta P T_b / (h f) with f = c / wavelength, for a transmit
+    power P (W) and bit duration T_b (s). Multiplied by a slot's energy
+    fraction it gives that slot's Poisson mean, so responsivity never
+    appears elsewhere.
     """
-
-    photons_per_bit: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.photons_per_bit) and self.photons_per_bit >= 0.0):
-            raise ValueError(f"photons_per_bit must be >= 0, got {self.photons_per_bit}")
-
-    @classmethod
-    def from_power(
-        cls,
-        power: float,
-        bit_duration: float,
-        *,
-        quantum_efficiency: float = DEFAULT_QUANTUM_EFFICIENCY,
-        wavelength: float = DEFAULT_WAVELENGTH,
-    ) -> "CountScale":
-        """Count scale for a transmit power (W) at a bit duration (s).
-
-        N_ph = eta P T_b / (h f) with f = c / wavelength.
-        """
-        if not (math.isfinite(power) and power >= 0.0):
-            raise ValueError(f"power must be >= 0, got {power}")
-        if not (math.isfinite(bit_duration) and bit_duration > 0.0):
-            raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
-        if not (0.0 < quantum_efficiency <= 1.0):
-            raise ValueError(f"quantum_efficiency must be in (0, 1], got {quantum_efficiency}")
-        if not (math.isfinite(wavelength) and wavelength > 0.0):
-            raise ValueError(f"wavelength must be > 0, got {wavelength}")
-        photon_energy = PLANCK * SPEED_OF_LIGHT / wavelength
-        return cls(photons_per_bit=quantum_efficiency * power * bit_duration / photon_energy)
+    if not (math.isfinite(power) and power >= 0.0):
+        raise ValueError(f"power must be >= 0, got {power}")
+    if not (math.isfinite(bit_duration) and bit_duration > 0.0):
+        raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
+    if not (0.0 < quantum_efficiency <= 1.0):
+        raise ValueError(f"quantum_efficiency must be in (0, 1], got {quantum_efficiency}")
+    if not (math.isfinite(wavelength) and wavelength > 0.0):
+        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    photon_energy = PLANCK * SPEED_OF_LIGHT / wavelength
+    return quantum_efficiency * power * bit_duration / photon_energy
 
 
 @dataclass(frozen=True)
 class HopBerInputs:
-    """Everything the receiver models need to know about one hop."""
+    """Everything the receiver models need to know about one hop.
+
+    `photons_per_bit` is the hop's count scale N_ph (see `photons_per_bit`).
+    """
 
     energies: BitEnergies
     fading: FadingModel
     noise: NoiseModel
-    scale: CountScale
+    photons_per_bit: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.energies, BitEnergies):
@@ -218,8 +208,8 @@ class HopBerInputs:
             raise TypeError(f"fading must be FadingModel, got {type(self.fading).__name__}")
         if not isinstance(self.noise, NoiseModel):
             raise TypeError(f"noise must be NoiseModel, got {type(self.noise).__name__}")
-        if not isinstance(self.scale, CountScale):
-            raise TypeError(f"scale must be CountScale, got {type(self.scale).__name__}")
+        if not (math.isfinite(self.photons_per_bit) and self.photons_per_bit >= 0.0):
+            raise ValueError(f"photons_per_bit must be >= 0, got {self.photons_per_bit}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ def conditional_ber_awgn(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> f
     bits = _check_bits(b0, isi_bits, inputs.energies.memory)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be > 0, got {h}")
-    n_ph = inputs.scale.photons_per_bit
+    n_ph = inputs.photons_per_bit
     gamma_s = n_ph * inputs.energies.e_signal
     gamma_isi = n_ph * float(bits @ inputs.energies.e_isi) if bits.size else 0.0
     sigma_tb = math.sqrt(inputs.noise.sigma_th_sq + inputs.noise.n_bd)
@@ -272,7 +262,7 @@ def poisson_means(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
     bits = _check_bits(b0, isi_bits, inputs.energies.memory)
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be > 0, got {h}")
-    n_ph = inputs.scale.photons_per_bit
+    n_ph = inputs.photons_per_bit
     signal = b0 * inputs.energies.e_signal
     if bits.size:
         signal += float(bits @ inputs.energies.e_isi)
@@ -614,7 +604,7 @@ def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):
     if fading.sigma_x_sq == 0.0:
         return np.ones(1), np.ones(1)
     sigma_x = math.sqrt(fading.sigma_x_sq)
-    gamma_s = inputs.scale.photons_per_bit * inputs.energies.e_signal
+    gamma_s = inputs.photons_per_bit * inputs.energies.e_signal
     noise = inputs.noise
     # margin(h) returns the Q argument v of the ISI-free conditional BER
     # and its first two derivatives in log h.
@@ -760,13 +750,13 @@ def hop_average_ber(
 
     energies = inputs.energies
     noise = inputs.noise
-    gamma_s = inputs.scale.photons_per_bit * energies.e_signal
+    gamma_s = inputs.photons_per_bit * energies.e_signal
     if gamma_s == 0.0:
         # No signal: the receiver decides at chance whatever the method.
         return 0.5
 
     values, weights = _isi_distribution(energies.e_isi)
-    counts = inputs.scale.photons_per_bit * values
+    counts = inputs.photons_per_bit * values
 
     # conditional(isi_counts) is the method's BER at every (fading node,
     # ISI count) pair; the average weights it by node and ISI probability.
@@ -831,7 +821,7 @@ def hop_average_ber(
         coarse_values, coarse_weights = _isi_distribution(
             energies.e_isi, _ISI_GRID_POINTS // 2
         )
-        coarse_counts = inputs.scale.photons_per_bit * coarse_values
+        coarse_counts = inputs.photons_per_bit * coarse_values
         coarse = float(node_weights @ (conditional(coarse_counts) @ coarse_weights))
         logger.debug(
             "ISI average (%s): L=%d convolved on %d grid points (%d of nonzero "

@@ -6,8 +6,9 @@ independent per-hop error probabilities the number of flips U follows a
 Poisson-binomial distribution, evaluated here by the standard iterative
 convolution dynamic program instead of subset enumeration.
 
-Also provides the all-hops-correct upper bound and the identical-hop
-binomial special case.
+Also provides the all-hops-correct upper bound. The parity functions take
+the per-hop BERs as a plain 1-d sequence; `ChainBerResult` holds one and
+derives the chain figures from it.
 """
 
 from __future__ import annotations
@@ -18,47 +19,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ber import (
-    DEFAULT_GHQ_ORDER, DEFAULT_QUANTUM_EFFICIENCY, CountScale, HopBerInputs, hop_average_ber,
+    DEFAULT_GHQ_ORDER, DEFAULT_QUANTUM_EFFICIENCY, HopBerInputs, hop_average_ber, photons_per_bit,
 )
 from .channel import DEFAULT_WAVELENGTH
 from .errors import ConvergenceError
 
 __all__ = [
     "RelayChain",
-    "HopBerVector",
     "ChainBerResult",
     "prob_u_incorrect",
     "e2e_ber_exact",
     "e2e_ber_upper",
-    "e2e_ber_identical",
     "chain_average_ber",
 ]
-
-
-@dataclass(frozen=True)
-class HopBerVector:
-    """Per-hop average BERs of a relay chain (one entry per hop)."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("p must be a nonempty 1-d array")
-        if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 0.5):
-            raise ValueError("per-hop BERs must lie in [0, 0.5]")
-        object.__setattr__(self, "p", p)
-
-    def __len__(self) -> int:
-        return self.p.size
 
 
 @dataclass(frozen=True)
 class RelayChain:
     """A source-to-destination chain of N+1 hops at one bit rate.
 
-    Every hop's CountScale already holds that hop's share of the transmit
-    power; `assemble` builds a chain from a total power and a split.
+    Every hop's `photons_per_bit` already holds that hop's share of the
+    transmit power; `assemble` builds a chain from a total power and a split.
     """
 
     hops: tuple[HopBerInputs, ...]
@@ -95,7 +76,7 @@ class RelayChain:
         quantum_efficiency: float = DEFAULT_QUANTUM_EFFICIENCY,
         wavelength: float = DEFAULT_WAVELENGTH,
     ) -> "RelayChain":
-        """Build a chain whose count scales follow from the power split.
+        """Build a chain whose photons per bit follow from the power split.
 
         `hop_energies` and `hop_fading` are per-hop sequences; `noise` is
         one NoiseModel shared by every receiver, whose bit duration sets
@@ -122,7 +103,7 @@ class RelayChain:
                     energies=energies,
                     fading=fading,
                     noise=noise,
-                    scale=CountScale.from_power(
+                    photons_per_bit=photons_per_bit(
                         share * total_power_per_bit,
                         noise.bit_duration,
                         quantum_efficiency=quantum_efficiency,
@@ -136,17 +117,32 @@ class RelayChain:
 
 @dataclass(frozen=True)
 class ChainBerResult:
-    """Chain-level BER figures plus the per-hop averages behind them."""
+    """Per-hop average BERs of a chain and the chain figures they give."""
 
-    exact: float
-    upper: float
-    per_hop: HopBerVector
+    per_hop: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_hop", _probs(self.per_hop))
+
+    @property
+    def exact(self) -> float:
+        """Exact end-to-end BER (`e2e_ber_exact` of `per_hop`)."""
+        return e2e_ber_exact(self.per_hop)
+
+    @property
+    def upper(self) -> float:
+        """All-hops-correct upper bound (`e2e_ber_upper` of `per_hop`)."""
+        return e2e_ber_upper(self.per_hop)
 
 
 def _probs(p) -> np.ndarray:
-    if isinstance(p, HopBerVector):
-        return p.p
-    return HopBerVector(np.asarray(p, dtype=float)).p
+    """Per-hop BERs as a validated 1-d float array."""
+    probs = np.asarray(p, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("p must be a nonempty 1-d array")
+    if np.any(~np.isfinite(probs)) or np.any(probs < 0.0) or np.any(probs > 0.5):
+        raise ValueError("per-hop BERs must lie in [0, 0.5]")
+    return probs
 
 
 def _flip_count_pmf(probs: np.ndarray) -> np.ndarray:
@@ -192,24 +188,6 @@ def e2e_ber_upper(p) -> float:
     return float(-np.expm1(np.log1p(-probs).sum()))
 
 
-def e2e_ber_identical(p: float, n_links: int) -> float:
-    """Exact end-to-end BER when every hop has the same average BER.
-
-    Binomial odd-term sum; equals e2e_ber_exact on a constant vector but
-    costs O(n) with exact binomial coefficients.
-    """
-    if not (math.isfinite(p) and 0.0 <= p <= 0.5):
-        raise ValueError(f"p must be in [0, 0.5], got {p}")
-    if not isinstance(n_links, (int, np.integer)) or n_links < 1:
-        raise ValueError(f"n_links must be a positive integer, got {n_links!r}")
-    return float(
-        sum(
-            math.comb(n_links, u) * p**u * (1.0 - p) ** (n_links - u)
-            for u in range(1, n_links + 1, 2)
-        )
-    )
-
-
 def chain_average_ber(
     chain: RelayChain, method: str, ghq_order: int = DEFAULT_GHQ_ORDER
 ) -> ChainBerResult:
@@ -217,22 +195,17 @@ def chain_average_ber(
 
     Hops fade independently, so each hop's average BER is computed on its
     own and the chain figures follow from the parity combinatorics. Hops
-    with the same slot energies (the same object), fading, noise and count
-    scale have the same average, which is computed once.
+    with the same slot energies (the same object), fading, noise and
+    photons per bit have the same average, which is computed once.
     """
     per_hop = np.empty(len(chain.hops))
     solved: dict[tuple, float] = {}
     for i, hop in enumerate(chain.hops):
-        key = (id(hop.energies), hop.fading, hop.noise, hop.scale)
+        key = (id(hop.energies), hop.fading, hop.noise, hop.photons_per_bit)
         if key not in solved:
             try:
                 solved[key] = hop_average_ber(hop, method, ghq_order)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"hop {i}: {exc}") from exc
         per_hop[i] = solved[key]
-    vec = HopBerVector(per_hop)
-    return ChainBerResult(
-        exact=e2e_ber_exact(vec),
-        upper=e2e_ber_upper(vec),
-        per_hop=vec,
-    )
+    return ChainBerResult(per_hop)

@@ -103,7 +103,7 @@ def _simulate_block(
         noise = hop.noise
         # h * N_ph scales both the count mean and the threshold.
         threshold = sample_fading(hop.fading, rng, size=n_total)
-        threshold *= hop.scale.photons_per_bit
+        threshold *= hop.photons_per_bit
         kernel = np.concatenate(([energies.e_signal], energies.e_isi))
         m = np.convolve(bits, kernel)[:n_total]
         m *= threshold

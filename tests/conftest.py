@@ -82,5 +82,5 @@ def synthetic_hop(
         energies=u.BitEnergies(e_signal=e_signal, e_isi=e_isi),
         fading=u.FadingModel(sigma_x_sq=sigma_x_sq),
         noise=u.NoiseModel.typical(bit_duration),
-        scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), bit_duration),
+        photons_per_bit=u.photons_per_bit(10 ** ((power_dbm - 30.0) / 10.0), bit_duration),
     )

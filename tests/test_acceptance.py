@@ -227,7 +227,7 @@ def test_criterion_04_gaussian_tracks_saddle_point_over_sweep(ir_coastal_22p5, n
             energies=energies,
             fading=fading,
             noise=noise_1ns,
-            scale=u.CountScale.from_power(10 ** ((dbm - 30.0) / 10.0), 1e-9),
+            photons_per_bit=u.photons_per_bit(10 ** ((dbm - 30.0) / 10.0), 1e-9),
         )
         g = u.hop_average_ber(hop, "gaussian")
         s = u.hop_average_ber(hop, "saddle_point")
@@ -292,7 +292,7 @@ def _e2e_curve(ir, sigma_x_sq, noise, total_powers_dbm, n_hops):
             energies=energies,
             fading=fading,
             noise=noise,
-            scale=u.CountScale.from_power(per_hop_w, 1e-9),
+            photons_per_bit=u.photons_per_bit(per_hop_w, 1e-9),
         )
         p = u.hop_average_ber(hop, "gaussian")
         bers.append(u.e2e_ber_exact([p] * n_hops))

@@ -11,6 +11,7 @@ distribution of long channel memories against all 2^L patterns.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import re
@@ -45,7 +46,7 @@ def q(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# NoiseModel / CountScale / HopBerInputs
+# NoiseModel / photons_per_bit / HopBerInputs
 # ---------------------------------------------------------------------------
 
 
@@ -74,26 +75,27 @@ def test_noise_model_validation_lists_all_problems():
     assert "background_rate" in msg and "dark_rate" in msg and "receiver_temperature" in msg
 
 
-def test_count_scale_from_power():
-    scale = u.CountScale.from_power(1e-3, 1e-9)
+def test_photons_per_bit_from_power():
     expected = 0.8 * 1e-3 * 1e-9 * 532e-9 / (PLANCK * SPEED_OF_LIGHT)
-    assert scale.photons_per_bit == pytest.approx(expected, rel=1e-14)
-    assert u.CountScale.from_power(0.0, 1e-9).photons_per_bit == 0.0
+    assert u.photons_per_bit(1e-3, 1e-9) == pytest.approx(expected, rel=1e-14)
+    assert u.photons_per_bit(0.0, 1e-9) == 0.0
     with pytest.raises(ValueError, match="power"):
-        u.CountScale.from_power(-1.0, 1e-9)
+        u.photons_per_bit(-1.0, 1e-9)
     with pytest.raises(ValueError, match="quantum_efficiency"):
-        u.CountScale.from_power(1e-3, 1e-9, quantum_efficiency=0.0)
-    with pytest.raises(ValueError, match="photons_per_bit"):
-        u.CountScale(photons_per_bit=-5.0)
+        u.photons_per_bit(1e-3, 1e-9, quantum_efficiency=0.0)
+    hop = synthetic_hop(17.0)
+    for bad in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^photons_per_bit must be >= 0, got"):
+            dataclasses.replace(hop, photons_per_bit=bad)
 
 
 def test_hop_ber_inputs_type_checks():
     hop = synthetic_hop(17.0)
     assert hop.energies.memory == 0
     with pytest.raises(TypeError, match="energies"):
-        u.HopBerInputs(energies=None, fading=hop.fading, noise=hop.noise, scale=hop.scale)
+        dataclasses.replace(hop, energies=None)
     with pytest.raises(TypeError, match="fading"):
-        u.HopBerInputs(energies=hop.energies, fading=0.05, noise=hop.noise, scale=hop.scale)
+        dataclasses.replace(hop, fading=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def five_sigma_hop() -> u.HopBerInputs:
         energies=u.BitEnergies(e_signal=1.0, e_isi=np.array([])),
         fading=u.FadingModel(sigma_x_sq=0.0),
         noise=noise,
-        scale=u.CountScale(photons_per_bit=10.0 * sigma_tb),
+        photons_per_bit=10.0 * sigma_tb,
     )
 
 
@@ -152,7 +154,7 @@ def test_conditional_awgn_validation():
 
 def test_poisson_means_hand_values():
     hop = synthetic_hop(20.0, e_isi=[8e-6, 4e-6])
-    n_ph = hop.scale.photons_per_bit
+    n_ph = hop.photons_per_bit
     n_bd = hop.noise.n_bd
     assert u.poisson_means(0, [0, 0], 1.0, hop) == pytest.approx(n_bd, rel=1e-14)
     assert u.poisson_means(1, [0, 0], 2.0, hop) == pytest.approx(
@@ -376,10 +378,10 @@ def test_saddle_solver_matches_oracle_on_hop_grid(ir_coastal_22p5, noise_1ns, po
         energies=u.bit_frame_energies(ir_coastal_22p5, bit_duration=1e-9),
         fading=u.FadingModel(sigma_x_sq=SIGMA_X_SQ[22.5]),
         noise=noise_1ns,
-        scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), 1e-9),
+        photons_per_bit=u.photons_per_bit(10 ** ((power_dbm - 30.0) / 10.0), 1e-9),
     )
     h, _ = _fading_nodes(hop, "saddle_point", 30)
-    n_ph = hop.scale.photons_per_bit
+    n_ph = hop.photons_per_bit
     values, _ = ber_module._isi_distribution(hop.energies.e_isi)
     grid = np.linspace(0.0, values.max() * n_ph, 65)
     m0 = noise_1ns.n_bd + np.outer(h, grid)
@@ -442,7 +444,7 @@ def test_hop_average_zero_signal_is_coin_flip():
         energies=hop.energies,
         fading=hop.fading,
         noise=hop.noise,
-        scale=u.CountScale(photons_per_bit=0.0),
+        photons_per_bit=0.0,
     )
     for method in u.BER_METHODS:
         assert u.hop_average_ber(dark, method) == 0.5
@@ -470,7 +472,7 @@ def brentq_mode_oracle(hop: u.HopBerInputs, method: str) -> tuple[float, float]:
     Newton iteration."""
     fading, noise = hop.fading, hop.noise
     sigma_x = math.sqrt(fading.sigma_x_sq)
-    gamma_s = hop.scale.photons_per_bit * hop.energies.e_signal
+    gamma_s = hop.photons_per_bit * hop.energies.e_signal
     c = noise.n_bd + noise.sigma_th_sq
 
     def margin(h):
@@ -521,7 +523,7 @@ def test_fading_mode_without_fading_or_signal():
         assert h.tolist() == [1.0] and w.tolist() == [1.0]
     hop = synthetic_hop(18.0)
     dark = u.HopBerInputs(energies=hop.energies, fading=hop.fading, noise=hop.noise,
-                          scale=u.CountScale(photons_per_bit=0.0))
+                          photons_per_bit=0.0)
     nodes, rule_weights = u.ghq_rule(30)
     sigma_x = math.sqrt(hop.fading.sigma_x_sq)
     for method in u.BER_METHODS:
@@ -605,13 +607,13 @@ def saddle_hop_oracle(hop: u.HopBerInputs, order: int = 30) -> float:
         if memory == 0
         else np.array([[int(c) for c in np.binary_repr(i, memory)] for i in range(2**memory)])
     )
-    isi_sums = patterns @ hop.energies.e_isi * hop.scale.photons_per_bit
+    isi_sums = patterns @ hop.energies.e_isi * hop.photons_per_bit
     total = 0.0
     for h, w in zip(*_fading_nodes(hop, "saddle_point", order)):
         vals = []
         for s in np.atleast_1d(isi_sums):
             m0 = hop.noise.n_bd + h * s
-            m1 = m0 + h * hop.scale.photons_per_bit * hop.energies.e_signal
+            m1 = m0 + h * hop.photons_per_bit * hop.energies.e_signal
             vals.append(u.saddle_point_ber(m0, m1, hop.noise.sigma_th_sq).ber)
         total += w * float(np.mean(vals))
     return total
@@ -645,7 +647,7 @@ def quad_fading_oracle(hop: u.HopBerInputs, method: str) -> float:
             energies=hop.energies,
             fading=no_fading,
             noise=hop.noise,
-            scale=u.CountScale(photons_per_bit=h * hop.scale.photons_per_bit),
+            photons_per_bit=h * hop.photons_per_bit,
         )
         return u.hop_average_ber(faded, method) * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
@@ -687,7 +689,7 @@ def enumerated_hop_oracle(hop: u.HopBerInputs, method: str) -> float:
     sums = np.zeros(1)
     for e in hop.energies.e_isi:
         sums = np.concatenate([sums, sums + e])
-    n_ph = hop.scale.photons_per_bit
+    n_ph = hop.photons_per_bit
     counts = n_ph * sums
     gamma_s = n_ph * hop.energies.e_signal
     noise = hop.noise
@@ -783,7 +785,7 @@ def test_hop_average_convolved_isi_converges_in_grid(fine_irs, monkeypatch, powe
         energies=energies,
         fading=u.FadingModel(sigma_x_sq=SIGMA_X_SQ[22.5]),
         noise=u.NoiseModel.typical(1e-10),
-        scale=u.CountScale.from_power(10 ** ((power_dbm - 30.0) / 10.0), 1e-10),
+        photons_per_bit=u.photons_per_bit(10 ** ((power_dbm - 30.0) / 10.0), 1e-10),
     )
     methods = ("awgn_ghqf", "gaussian")
     default = [u.hop_average_ber(hop, m) for m in methods]
@@ -802,7 +804,7 @@ def test_hop_average_validation():
 def test_hop_average_rejects_a_bad_ghq_order(order):
     hop = synthetic_hop(18.0)
     no_signal = u.HopBerInputs(energies=hop.energies, fading=hop.fading, noise=hop.noise,
-                               scale=u.CountScale(0.0))
+                               photons_per_bit=0.0)
     for inputs in (hop, no_signal):
         with pytest.raises(ValueError, match="order"):
             u.hop_average_ber(inputs, "awgn_ghqf", ghq_order=order)

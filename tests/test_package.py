@@ -20,11 +20,9 @@ PUBLIC_NAMES = [
     "ChainBerResult",
     "ConfigError",
     "ConvergenceError",
-    "CountScale",
     "FadingModel",
     "HISTORY_CAP",
     "HopBerInputs",
-    "HopBerVector",
     "ISI_ENUMERATION_CAP",
     "ImpulseResponse",
     "LinkGeometry",
@@ -40,12 +38,12 @@ PUBLIC_NAMES = [
     "channel_memory",
     "conditional_ber_awgn",
     "e2e_ber_exact",
-    "e2e_ber_identical",
     "e2e_ber_upper",
     "fading_pdf",
     "gaussian_ber",
     "ghq_rule",
     "hop_average_ber",
+    "photons_per_bit",
     "poisson_means",
     "prob_u_incorrect",
     "run_bit_simulation",

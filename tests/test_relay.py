@@ -46,7 +46,7 @@ def brute_force_pmf(p: np.ndarray, count: int) -> float:
 def test_hand_values():
     assert u.e2e_ber_exact([0.1, 0.2]) == pytest.approx(0.26, abs=1e-15)
     assert u.e2e_ber_upper([0.1, 0.1]) == pytest.approx(0.19, abs=1e-15)
-    assert u.e2e_ber_identical(0.1, 2) == pytest.approx(0.18, abs=1e-15)
+    assert u.e2e_ber_exact([0.1, 0.1]) == pytest.approx(0.18, abs=1e-15)
     assert u.e2e_ber_exact([0.3]) == pytest.approx(0.3, abs=1e-15)
     assert u.e2e_ber_upper([0.3]) == pytest.approx(0.3, abs=1e-15)
 
@@ -74,12 +74,21 @@ def test_prob_u_validation():
 # ---------------------------------------------------------------------------
 
 
+def constant_vectors():
+    """Every hop with the same BER, including both ends of [0, 0.5]."""
+    for p in (0.0, 1e-6, 0.01, 0.3, 0.5):
+        for n in (1, 2, 5, 9):
+            yield np.full(n, p)
+
+
 def test_exact_matches_closed_form_parity_product():
     rng = np.random.default_rng(314)
     for _ in range(1000):
         n = rng.integers(1, 11)
         p = rng.random(n) * 0.5
         assert u.e2e_ber_exact(p) == pytest.approx(parity_closed_form(p), abs=1e-12)
+    for p in constant_vectors():
+        assert u.e2e_ber_exact(p) == pytest.approx(parity_closed_form(p), abs=1e-14)
 
 
 def test_exact_matches_brute_force_enumeration():
@@ -88,6 +97,8 @@ def test_exact_matches_brute_force_enumeration():
         for _ in range(20):
             p = rng.random(n) * 0.5
             assert u.e2e_ber_exact(p) == pytest.approx(brute_force_e2e(p), abs=1e-14)
+    for p in constant_vectors():
+        assert u.e2e_ber_exact(p) == pytest.approx(brute_force_e2e(p), abs=1e-14)
 
 
 def test_pmf_matches_subset_enumeration():
@@ -98,21 +109,6 @@ def test_pmf_matches_subset_enumeration():
             assert u.prob_u_incorrect(p, count) == pytest.approx(
                 brute_force_pmf(p, count), abs=1e-13
             )
-
-
-def test_identical_matches_exact_on_constant_vector():
-    for p in (0.0, 1e-6, 0.01, 0.3, 0.5):
-        for n in (1, 2, 5, 9):
-            assert u.e2e_ber_identical(p, n) == pytest.approx(
-                u.e2e_ber_exact(np.full(n, p)), abs=1e-14
-            )
-
-
-def test_identical_validation():
-    with pytest.raises(ValueError, match="p must"):
-        u.e2e_ber_identical(0.6, 2)
-    with pytest.raises(ValueError, match="n_links"):
-        u.e2e_ber_identical(0.1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +158,20 @@ def test_upper_bound_no_underflow_at_tiny_p():
     assert u.e2e_ber_exact(p) == pytest.approx(3e-14, rel=1e-9)
 
 
-def test_hop_ber_vector_validation():
-    v = u.HopBerVector(np.array([0.0, 0.5, 0.25]))
-    assert len(v) == 3
-    with pytest.raises(ValueError, match="0, 0.5"):
-        u.HopBerVector(np.array([0.6]))
-    with pytest.raises(ValueError, match="nonempty"):
-        u.HopBerVector(np.array([]))
-    with pytest.raises(ValueError):
-        u.HopBerVector(np.array([[0.1]]))
+def test_per_hop_ber_validation():
+    result = u.ChainBerResult([0.0, 0.5, 0.25])
+    assert isinstance(result.per_hop, np.ndarray) and result.per_hop.tolist() == [0.0, 0.5, 0.25]
+    assert result.exact == u.e2e_ber_exact([0.0, 0.5, 0.25]) == 0.5
+    assert result.upper == u.e2e_ber_upper([0.0, 0.5, 0.25])
+    for function in (u.e2e_ber_exact, u.e2e_ber_upper, u.ChainBerResult):
+        with pytest.raises(ValueError, match=r"^per-hop BERs must lie in \[0, 0.5\]$"):
+            function([0.6])
+        with pytest.raises(ValueError, match=r"^per-hop BERs must lie in \[0, 0.5\]$"):
+            function([0.1, math.nan])
+        with pytest.raises(ValueError, match="^p must be a nonempty 1-d array$"):
+            function([])
+        with pytest.raises(ValueError, match="^p must be a nonempty 1-d array$"):
+            function([[0.1]])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def test_hop_ber_vector_validation():
 
 
 def two_hop_chain(power_dbm: float = 21.0) -> u.RelayChain:
-    hop = synthetic_hop(0.0)  # energies/fading template; scale rebuilt by assemble
+    hop = synthetic_hop(0.0)  # energies/fading template; photons per bit rebuilt by assemble
     return u.RelayChain.assemble(
         [hop.energies, hop.energies],
         [hop.fading, hop.fading],
@@ -192,9 +193,9 @@ def test_relay_chain_assemble_splits_power_equally():
     chain = two_hop_chain(21.0)
     assert chain.n_relays == 1
     per_hop_power = 0.5 * 10 ** ((21.0 - 30.0) / 10.0)
-    expected = u.CountScale.from_power(per_hop_power, 1e-9).photons_per_bit
+    expected = u.photons_per_bit(per_hop_power, 1e-9)
     for hop in chain.hops:
-        assert hop.scale.photons_per_bit == pytest.approx(expected, rel=1e-14)
+        assert hop.photons_per_bit == pytest.approx(expected, rel=1e-14)
 
 
 def test_relay_chain_validation():
@@ -220,14 +221,14 @@ def test_chain_average_single_hop_exact_equals_upper():
     chain = u.RelayChain(hops=(hop,))
     result = u.chain_average_ber(chain, "awgn_ghqf")
     assert result.exact == pytest.approx(result.upper, rel=1e-12)
-    assert result.exact == pytest.approx(float(result.per_hop.p[0]), rel=1e-12)
+    assert result.exact == pytest.approx(float(result.per_hop[0]), rel=1e-12)
     assert result.exact == pytest.approx(u.hop_average_ber(hop, "awgn_ghqf"), rel=1e-14)
 
 
 def test_chain_average_combines_hops_by_parity():
     chain = two_hop_chain(21.0)
     result = u.chain_average_ber(chain, "awgn_ghqf")
-    p = result.per_hop.p
+    p = result.per_hop
     assert result.exact == pytest.approx(parity_closed_form(p), rel=1e-12)
     assert result.upper >= result.exact
     # Two identical hops: per-hop BERs match and e2e is nearly double one.
@@ -236,7 +237,7 @@ def test_chain_average_combines_hops_by_parity():
 
 
 def three_hop_chain_with_repeat() -> u.RelayChain:
-    """Hops 0 and 1 share energies, fading, noise and scale; hop 2 differs."""
+    """Hops 0 and 1 share energies, fading, noise and photons per bit; hop 2 differs."""
     chain = two_hop_chain(21.0)
     return u.RelayChain(hops=chain.hops + (synthetic_hop(19.0),))
 
@@ -255,7 +256,7 @@ def test_chain_average_solves_each_distinct_hop_once(monkeypatch):
     result = u.chain_average_ber(chain, "gaussian")
     assert solved == [chain.hops[0], chain.hops[2]]
     expected = [u.hop_average_ber(hop, "gaussian") for hop in chain.hops]
-    assert result.per_hop.p.tolist() == expected
+    assert result.per_hop.tolist() == expected
 
 
 def test_chain_average_names_the_failing_hop(monkeypatch):
