@@ -63,6 +63,11 @@ DEFAULT_TAIL_EPSILON = 1e-6
 WEIGHT_FLOOR = 1e-6
 """Photon weight below which tracing stops; bounds runtime in turbid water."""
 
+_MAX_INTERACTIONS = 10_000
+"""Most interactions a photon may survive before its weight falls below
+`WEIGHT_FLOOR`; water whose albedo allows more is refused (the presets
+need at most about 95)."""
+
 TRACE_BATCH = 1_000_000
 """Photons per traced batch, each with its own child seed; bounds peak memory
 at about 72 bytes per photon of a batch."""
@@ -506,7 +511,10 @@ def simulate_impulse_response(
     each interaction (weights below `WEIGHT_FLOOR` terminate). A photon is
     recorded when it crosses the receiver plane inside the aperture with
     arrival direction within the field-of-view cone; any plane crossing
-    terminates the photon.
+    terminates the photon. Water whose albedo keeps a photon above the
+    floor for more than `_MAX_INTERACTIONS` interactions (albedo above
+    about 0.99862) is refused with a ValueError, since nothing else bounds
+    the trace.
 
     Photons are traced in batches of `TRACE_BATCH`, each driven by a child
     seed spawned from `rng_seed` in a fixed order, so results are
@@ -529,6 +537,13 @@ def simulate_impulse_response(
         raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    # ln(WEIGHT_FLOOR) / ln(albedo) interactions reach the floor.
+    if water.albedo > WEIGHT_FLOOR ** (1.0 / _MAX_INTERACTIONS):
+        raise ValueError(
+            f"albedo b/(a+b) = {water.albedo:.8g} keeps a photon above the weight floor "
+            f"{WEIGHT_FLOOR:g} for more than {_MAX_INTERACTIONS} interactions; "
+            "raise the absorption"
+        )
 
     n_batches = -(-int(n_photons) // TRACE_BATCH)
     hist = np.zeros(1)

@@ -583,7 +583,8 @@ def _hop_sigmas(cfg: RunConfig) -> list[float]:
 def _impulse_responses(cfg: RunConfig) -> dict[float, ImpulseResponse]:
     """One impulse response per distinct hop length (power-independent).
 
-    Bins are `mc.bin_width_s` wide, or a tenth of the shortest bit.
+    Bins are `mc.bin_width_s` wide, or a tenth of the shortest bit. Water
+    the tracer refuses is a configuration error.
     """
     bin_width = cfg.mc_bin_width_s
     if bin_width is None:
@@ -591,13 +592,18 @@ def _impulse_responses(cfg: RunConfig) -> dict[float, ImpulseResponse]:
     water = cfg.water_properties()
     cache: dict[float, ImpulseResponse] = {}
     for i, d in enumerate(sorted(set(cfg.hop_lengths_m))):
-        cache[d] = simulate_impulse_response(
-            cfg.link_geometry(d),
-            water,
-            cfg.mc_n_photons,
-            bin_width,
-            _derived_seed(cfg.mc_seed, 1, i),
-        )
+        geometry = cfg.link_geometry(d)
+        try:
+            cache[d] = simulate_impulse_response(
+                geometry,
+                water,
+                cfg.mc_n_photons,
+                bin_width,
+                _derived_seed(cfg.mc_seed, 1, i),
+            )
+        except ValueError as exc:
+            problem = f"water: {exc}"
+            raise ConfigError("invalid configuration: " + problem, [problem]) from exc
         logger.info(
             "impulse response d=%g m: %d bins, captured fraction %.4g",
             d, cache[d].energy_fraction.size, cache[d].total_fraction,
@@ -633,6 +639,12 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
     sigmas = _hop_sigmas(cfg)
     fading = [FadingModel(sigma_x_sq=s) for s in sigmas]
     responses = _impulse_responses(cfg)
+    for d, response in responses.items():
+        if response.is_empty:
+            raise ConvergenceError(
+                f"hop length {d:g} m: no photons reached the receiver in "
+                f"{cfg.mc_n_photons} traced; raise mc.n_photons"
+            )
     powers_dbm = cfg.power_points_dbm()
     single_rate = len(cfg.data_rates_bps) == 1
     base_metadata = {

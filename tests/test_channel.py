@@ -452,6 +452,28 @@ def test_simulate_impulse_response_validation():
         u.simulate_impulse_response(geometry, COASTAL, 100, 0.0, rng_seed=1)
 
 
+def water_of_albedo(albedo: float, scattering: float = 0.02) -> u.WaterProperties:
+    return u.WaterProperties(absorption=scattering * (1.0 / albedo - 1.0), scattering=scattering)
+
+
+@pytest.mark.parametrize("albedo", [1.0, 0.99999, 0.9987])
+def test_tracer_refuses_water_that_hardly_absorbs(albedo):
+    # Each interaction leaves a photon `albedo` of its weight, so it takes
+    # ln(WEIGHT_FLOOR) / ln(albedo) of them to reach the floor: more than
+    # 10000 here, and without end at albedo 1.
+    with pytest.raises(ValueError, match=r"^albedo b/\(a\+b\) = .* more than 10000 interactions"):
+        u.simulate_impulse_response(
+            u.LinkGeometry(distance=10.0), water_of_albedo(albedo), 100, 1e-10, rng_seed=1
+        )
+
+
+def test_tracer_accepts_water_just_below_the_albedo_cap():
+    water = water_of_albedo(0.9986)
+    assert 9_000 < math.log(channel.WEIGHT_FLOOR) / math.log(water.albedo) < 10_000
+    ir = u.simulate_impulse_response(u.LinkGeometry(distance=10.0), water, 100, 1e-10, rng_seed=1)
+    assert 0.0 < ir.total_fraction <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # Slot partition (bit_frame_energies) vs dense convolution oracle
 # ---------------------------------------------------------------------------

@@ -299,6 +299,13 @@ def test_sweep_ghq_order_reaches_the_quadrature(tiny_curves, tmp_path):
         assert curves[method].y != next(c.y for c in order_30 if c.method == method)
 
 
+def cli_process(*argv, timeout=120):
+    """Run `python -m uwoc_relay_sim` on `argv` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "uwoc_relay_sim", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("start", [3040.0, 3290.0], ids=["count overflow", "watts overflow"])
 def test_cli_run_fails_only_the_points_whose_power_overflows(tmp_path, start):
     # At 3040-3050 dBm the photon count per bit overflows; at 3290-3300
@@ -306,12 +313,8 @@ def test_cli_run_fails_only_the_points_whose_power_overflows(tmp_path, start):
     data = {**MINIMAL, "power_sweep_dbm": {"start": start, "stop": start + 10.0, "step": 10.0},
             "methods": list(cli.SWEEP_METHODS), "mc": {"n_photons": 2000}}
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "uwoc_relay_sim", "run", "--config",
-         str(write_config(tmp_path, data)), "--out", str(out), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = cli_process("run", "--config", write_config(tmp_path, data), "--out", out,
+                       "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     report = json.loads((out / "report.json").read_text())
@@ -320,6 +323,46 @@ def test_cli_run_fails_only_the_points_whose_power_overflows(tmp_path, start):
         assert curve["points"] == []
         failed = curve["metadata"]["failed_points"]
         assert [f["power_dbm"] for f in failed] == [start, start + 10.0]
+
+
+def test_cli_run_fails_cleanly_when_no_photon_reaches_a_hop(tmp_path):
+    # Ballistic light through 400 m of harbor water underflows to 0 and
+    # none of the 1000 traced photons arrives: `run` has no slot energies
+    # to work with, while `channel` still writes the all-zero response.
+    data = {"water": {"preset": "harbor"}, "hops": {"lengths_m": [400.0]},
+            "data_rates_bps": [1e9], "methods": ["awgn_ghqf"],
+            "mc": {"n_photons": 1000, "seed": 1}}
+    path = write_config(tmp_path, data)
+    run = cli_process("run", "--config", path, "--out", tmp_path / "run")
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1] == (
+        "numerical failure: hop length 400 m: no photons reached the receiver in 1000 "
+        "traced; raise mc.n_photons"
+    )
+    assert not (tmp_path / "run").exists()
+    channel = cli_process("channel", "--config", path, "--out", tmp_path / "ir")
+    assert channel.returncode == 0, channel.stderr
+    rows = (tmp_path / "ir" / "impulse_response_0.csv").read_text().splitlines()
+    assert rows[0] == "bin_start_s,energy_fraction"
+    assert [row.split(",")[1] for row in rows[1:]] == ["0.0"]
+
+
+def test_cli_water_that_never_absorbs_is_refused_before_tracing(tmp_path):
+    # The catalogue records this config as valid, so `validate` accepts
+    # it; but at albedo 1 no photon loses weight, and only the receiver
+    # plane would end its trace.
+    path = write_config(tmp_path, _with(_COEFFICIENTS, "water", "absorption", 0))
+    assert cli_process("validate", "--config", path).returncode == 0
+    for command in ("run", "channel"):
+        proc = cli_process(command, "--config", path, "--out", tmp_path / command, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            "configuration error: invalid configuration: water: albedo b/(a+b) = 1 keeps a "
+            "photon above the weight floor 1e-06 for more than 10000 interactions; raise the "
+            "absorption\n"
+        )
+        assert not (tmp_path / command).exists()
 
 
 def test_sweep_deterministic_and_thread_invariant(tiny_curves, tmp_path, capsys):

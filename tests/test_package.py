@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import uwoc_relay_sim as u
 from uwoc_relay_sim import ber, channel, errors, relay, simulate, turbulence
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = (ber, channel, errors, relay, simulate, turbulence)
 
 PUBLIC_NAMES = [
@@ -102,3 +106,25 @@ def test_scipy_special_is_the_only_scipy_import():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module)
     assert {name for name in imported if name.split(".")[0] == "scipy"} == {"scipy.special"}
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:3]] == list(u.BER_METHODS)
+    assert printed[4].startswith("end-to-end:") and printed[6].startswith("simulated:")
+
+
+def test_benchmark_trace_points_resolve():
+    # The benchmark patches these (module, attribute) pairs by name; one
+    # that no longer resolves would read 0 in every per-layer metric.
+    # Its source is executed without importing it, so nothing is written.
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    for module_name, attr, *_ in tracing.TRACE_POINTS:
+        module = importlib.import_module(f"uwoc_relay_sim.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
