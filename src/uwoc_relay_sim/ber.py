@@ -38,9 +38,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
-from .channel import DEFAULT_WAVELENGTH, BitEnergies
+from .channel import (
+    DEFAULT_WAVELENGTH,
+    ISI_ENUMERATION_CAP,
+    _ISI_GRID_POINTS,
+    BitEnergies,
+    _isi_distribution,
+)
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
 from .errors import ConvergenceError
 from .turbulence import FadingModel, ghq_rule
@@ -58,21 +63,12 @@ __all__ = [
     "hop_average_ber",
     "photons_per_bit",
     "BER_METHODS",
-    "ISI_ENUMERATION_CAP",
 ]
 
 BER_METHODS = ("awgn_ghqf", "saddle_point", "gaussian")
 
 DEFAULT_GHQ_ORDER = 30
 """Gauss-Hermite order of the fading average when the caller gives none."""
-
-ISI_ENUMERATION_CAP = 16
-"""Largest channel memory averaged by exhaustive 2^L pattern enumeration.
-
-Longer memories are averaged over the distribution of the ISI sum,
-convolved tap by tap on a grid of _ISI_GRID_POINTS points."""
-
-_ISI_GRID_POINTS = 1 << 14
 
 _SADDLE_GRID_POINTS = 65
 _RESIDUAL_TOL = 1e-10
@@ -88,9 +84,94 @@ DEFAULT_LOAD_RESISTANCE = 100.0
 DEFAULT_QUANTUM_EFFICIENCY = 0.8
 
 
+_ERFCX_K = 3.75
+_ERFCX_POLY = (
+    2.217479535004814e-10, 1.5551553599195826e-10, -2.64214348981571e-09,
+    -1.8717840168172915e-09, 1.9482726274492983e-08, 1.1630956638348283e-08,
+    -1.295534843898329e-07, -2.8607986279954937e-08, 8.76028985083159e-07,
+    -4.867809507591331e-07, -5.722206219585861e-06, 1.1192120157112218e-05,
+    2.5824605695351427e-05, -0.00014507704048976355, 0.00014685681714250406,
+    0.0008778129265008629, -0.004873289776252122, 0.014181138709470333,
+    -0.029346699295106183, 0.04615216058018938, -0.054401965070858926,
+    0.04113836924507258, 0.0017927077427318874, -0.07012029929277348,
+    0.6187563154189137,
+)
+"""Coefficients, highest degree first, of the degree-24 polynomial P with
+(x + 1/2) erfcx(x) = P(t), t = (x - K) / (x + K), K = _ERFCX_K, on x >= 0
+(Schonfelder's form, Math. Comp. 32, 1978). Fitted by
+`mpmath.chebyfit` at 40 digits (fit error 3.2e-18); a test re-fits them."""
+_ERFCX_POLY_TAIL = 5.273080124862724e-17
+"""The rounding error of P's constant term, added on its own: the term sets
+P(-1) = 1/2 at the foot of its binade, where its rounding would be 0.5 ulp."""
+_ERFC_BLOCK = 8192
+"""Elements per block of `_erfc`: one block's temporaries fit in cache."""
+
+
+def _exp_square(a, sign: float):
+    """exp(sign a^2) for a >= 0, with a^2 formed exactly as sq + err.
+
+    Rounding a^2 before `exp` would cost a relative error of about a^2 ulp
+    (SciPy's erfc drifts by hundreds of ulp near x = 25 that way), so a is
+    split into two 26-bit halves (Dekker, Numer. Math. 18, 1971), whose
+    products are exact, and exp(sign sq) is corrected to first order in
+    err. Past a = 28 every result is 0 or inf, so larger a are clipped.
+    """
+    a = np.minimum(a, 28.0)
+    big = a * 134217729.0  # 2^27 + 1
+    high = big - (big - a)
+    low = a - high
+    sq = a * a
+    err = ((high * high - sq) + 2.0 * high * low) + low * low
+    e = np.exp(sign * sq)
+    corrected = e + e * (sign * err)
+    # Once exp(a^2) overflows, e * err is inf * 0 or -inf.
+    return np.where(np.isinf(e), e, corrected) if sign > 0.0 else corrected
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _erfc(x, scaled: bool = False):
+    """erfc(x), or erfcx(x) = exp(x^2) erfc(x) if `scaled`, elementwise.
+
+    For x >= 0, erfcx(x) = P(t) / (x + 1/2) with P from _ERFCX_POLY, and
+    erfc(x) = exp(-x^2) erfcx(x) (see `_exp_square`); x < 0 reflects, as
+    erfc(x) = 2 - erfc(-x) and erfcx(x) = 2 exp(x^2) - erfcx(-x). Against
+    mpmath, erfc is within 4 ulp on [-6, 26.5] where the result is a
+    normal float and erfcx within 2 ulp on [-3, 1e4]. erfc(inf) =
+    erfcx(inf) = 0, erfc(-inf) = 2, and erfcx is inf, without a warning,
+    once exp(x^2) overflows. Works on blocks of _ERFC_BLOCK elements and
+    returns an array of x's shape (a NumPy scalar for a scalar).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)  # C order, so that reshape(-1) is a view
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _ERFC_BLOCK):
+        xb = flat_x[lo:lo + _ERFC_BLOCK]
+        a = np.abs(xb)
+        # At a = inf, (a - K) / (a + K) is nan; P(1) / inf is the 0 wanted.
+        t = np.minimum(a, 1e300)
+        t = (t - _ERFCX_K) / (t + _ERFCX_K)
+        r = np.full_like(t, _ERFCX_POLY[0])
+        for c in _ERFCX_POLY[1:-1]:
+            r *= t
+            r += c
+        r *= t
+        r += _ERFCX_POLY_TAIL
+        r += _ERFCX_POLY[-1]
+        r /= a + 0.5
+        neg = xb < 0.0
+        if scaled:
+            if neg.any():
+                r[neg] = 2.0 * _exp_square(a[neg], 1.0) - r[neg]
+        else:
+            r *= _exp_square(a, -1.0)
+            np.subtract(2.0, r, out=r, where=neg)
+        flat_out[lo:lo + _ERFC_BLOCK] = r
+    return out[()]
+
+
 def _q(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -539,44 +620,6 @@ def gaussian_ber(m0: float, m1: float, sigma_th_sq: float) -> float:
     return float(_gaussian_ber_array(m0, m1, sigma_th_sq))
 
 
-def _isi_distribution(e_isi: np.ndarray, grid_points: int | None = None):
-    """Values of the ISI energy sum_k b_k e_isi[k] over fair bits, and their probabilities.
-
-    Up to ISI_ENUMERATION_CAP taps every one of the 2^L patterns is
-    listed, each with probability 2^-L. Beyond the cap the distribution
-    of the sum is built by convolving the taps one at a time on a uniform
-    grid of `grid_points` (default _ISI_GRID_POINTS) points spanning
-    [0, sum(e_isi)]. A tap that falls between two grid points splits its
-    mass between them in the proportion that keeps its mean exact, so the
-    error this adds to a smooth average is second order in the grid step.
-    Time is O(L * grid_points) and memory O(grid_points + L). Only values
-    of nonzero probability are returned.
-    """
-    memory = e_isi.size
-    if memory <= ISI_ENUMERATION_CAP:
-        sums = np.zeros(1)
-        for e in e_isi:
-            sums = np.concatenate([sums, sums + e])
-        return sums, np.full(sums.size, 1.0 / sums.size)
-    total = float(e_isi.sum())
-    if total == 0.0:
-        return np.zeros(1), np.ones(1)
-    grid_points = _ISI_GRID_POINTS if grid_points is None else grid_points
-    step = total / (grid_points - 1)
-    # Rounding each tap up adds at most one point per tap past the last.
-    pmf = np.zeros(grid_points + memory + 1)
-    pmf[0] = 1.0
-    for e in e_isi:
-        j, frac = divmod(float(e) / step, 1.0)
-        j = int(j)
-        moved = 0.5 * pmf[: pmf.size - j]
-        pmf *= 0.5
-        pmf[j:] += (1.0 - frac) * moved
-        pmf[j + 1:] += frac * moved[:-1]
-    nonzero = np.flatnonzero(pmf)
-    return nonzero * step, pmf[nonzero]
-
-
 def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):
     """Fading coefficients and probability weights for one hop's average.
 
@@ -628,7 +671,7 @@ def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):
     def log_g_slopes(t):
         """First and second t-derivatives of log f(t) - t^2 / 2."""
         v, v_s, v_ss = margin(np.exp(2.0 * (fading.mu_x + sigma_x * t)))
-        mills = math.sqrt(2.0 / math.pi) / erfcx(v / math.sqrt(2.0))
+        mills = math.sqrt(2.0 / math.pi) / _erfc(v / math.sqrt(2.0), scaled=True)
         first = -2.0 * sigma_x * mills * v_s - t
         second = -4.0 * fading.sigma_x_sq * mills * ((mills - v) * v_s * v_s + v_ss) - 1.0
         return first, second
@@ -718,13 +761,14 @@ def hop_average_ber(
 
     The conditional BER depends on a pattern only through its ISI energy,
     so the pattern average is a weighted sum over that energy's values
-    (see `_isi_distribution`): every pattern for memories up to
-    ISI_ENUMERATION_CAP, and beyond it the distribution convolved on a
-    grid of 2^14 points, which is deterministic, needs O(2^14) memory at
-    any L, and differs from the exact average by an error second order in
-    the grid step (below 1e-6 relative against a 4x finer grid on a
-    10 Gbps 22.5 m coastal hop, L in the hundreds). At `debug` level the
-    change from halving that grid is logged per call.
+    (see `BitEnergies.isi_distribution`, computed once per hop): every
+    pattern for memories up to ISI_ENUMERATION_CAP, and beyond it the
+    distribution convolved on a grid of 2^14 points, which is
+    deterministic, needs O(2^14) memory at any L, and differs from the
+    exact average by an error second order in the grid step (below 1e-6
+    relative against a 4x finer grid on a 10 Gbps 22.5 m coastal hop, L
+    in the hundreds). At `debug` level the change from halving that grid
+    is logged per call.
 
     Parameters
     ----------
@@ -755,7 +799,7 @@ def hop_average_ber(
         # No signal: the receiver decides at chance whatever the method.
         return 0.5
 
-    values, weights = _isi_distribution(energies.e_isi)
+    values, weights = energies.isi_distribution
     counts = inputs.photons_per_bit * values
 
     # conditional(isi_counts) is the method's BER at every (fading node,

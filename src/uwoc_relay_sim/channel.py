@@ -5,7 +5,8 @@ scattering water to the receiver plane, producing the fading-free
 impulse response h0(t) of one hop as a time-binned fraction of the
 transmitted energy. The response is then reduced to per-bit-slot energy
 fractions (desired signal plus intersymbol leakage) for the receiver
-models.
+models, together with the distribution of the leakage summed over
+equiprobable bit patterns, which every receiver model averages over.
 
 Scattering is Henyey-Greenstein; absorption is handled by survival
 weighting (each interaction multiplies the photon weight by the single-
@@ -28,6 +29,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "LinkGeometry",
     "ImpulseResponse",
     "BitEnergies",
+    "ISI_ENUMERATION_CAP",
     "WATER_PRESETS",
     "simulate_impulse_response",
     "bit_frame_energies",
@@ -277,6 +280,53 @@ def _bin_width_from_starts(starts: np.ndarray) -> float:
     return low
 
 
+ISI_ENUMERATION_CAP = 16
+"""Largest channel memory averaged by exhaustive 2^L pattern enumeration.
+
+Longer memories are averaged over the distribution of the ISI sum,
+convolved tap by tap on a grid of _ISI_GRID_POINTS points."""
+
+_ISI_GRID_POINTS = 1 << 14
+
+
+def _isi_distribution(e_isi: np.ndarray, grid_points: int | None = None):
+    """Values of the ISI energy sum_k b_k e_isi[k] over fair bits, and their probabilities.
+
+    Up to ISI_ENUMERATION_CAP taps every one of the 2^L patterns is
+    listed, each with probability 2^-L. Beyond the cap the distribution
+    of the sum is built by convolving the taps one at a time on a uniform
+    grid of `grid_points` (default _ISI_GRID_POINTS) points spanning
+    [0, sum(e_isi)]. A tap that falls between two grid points splits its
+    mass between them in the proportion that keeps its mean exact, so the
+    error this adds to a smooth average is second order in the grid step.
+    Time is O(L * grid_points) and memory O(grid_points + L). Only values
+    of nonzero probability are returned.
+    """
+    memory = e_isi.size
+    if memory <= ISI_ENUMERATION_CAP:
+        sums = np.zeros(1)
+        for e in e_isi:
+            sums = np.concatenate([sums, sums + e])
+        return sums, np.full(sums.size, 1.0 / sums.size)
+    total = float(e_isi.sum())
+    if total == 0.0:
+        return np.zeros(1), np.ones(1)
+    grid_points = _ISI_GRID_POINTS if grid_points is None else grid_points
+    step = total / (grid_points - 1)
+    # Rounding each tap up adds at most one point per tap past the last.
+    pmf = np.zeros(grid_points + memory + 1)
+    pmf[0] = 1.0
+    for e in e_isi:
+        j, frac = divmod(float(e) / step, 1.0)
+        j = int(j)
+        moved = 0.5 * pmf[: pmf.size - j]
+        pmf *= 0.5
+        pmf[j:] += (1.0 - frac) * moved
+        pmf[j + 1:] += frac * moved[:-1]
+    nonzero = np.flatnonzero(pmf)
+    return nonzero * step, pmf[nonzero]
+
+
 @dataclass(frozen=True)
 class BitEnergies:
     """Per-bit-slot energy fractions seen by an integrate-and-dump receiver.
@@ -292,9 +342,11 @@ class BitEnergies:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.e_signal) and self.e_signal >= 0.0):
             raise ValueError(f"e_signal must be >= 0, got {self.e_signal}")
-        isi = np.asarray(self.e_isi, dtype=float)
+        # A read-only copy, so that `isi_distribution` cannot go stale.
+        isi = np.array(self.e_isi, dtype=float)
         if isi.ndim != 1 or np.any(~np.isfinite(isi)) or np.any(isi < 0.0):
             raise ValueError("e_isi must be a 1-d array of finite entries >= 0")
+        isi.setflags(write=False)
         object.__setattr__(self, "e_isi", isi)
 
     @property
@@ -306,6 +358,19 @@ class BitEnergies:
     def total(self) -> float:
         """e_signal plus all ISI leakage."""
         return float(self.e_signal + self.e_isi.sum())
+
+    @cached_property
+    def isi_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the ISI energy over equiprobable bit patterns, and their probabilities.
+
+        See `_isi_distribution`. Computed once per instance, since every
+        method and power point of a hop averages over the same
+        distribution; both arrays are read-only.
+        """
+        values, probabilities = _isi_distribution(self.e_isi)
+        values.setflags(write=False)
+        probabilities.setflags(write=False)
+        return values, probabilities
 
 
 def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:

@@ -33,13 +33,13 @@ from .ber import (
     DEFAULT_LOAD_RESISTANCE,
     DEFAULT_QUANTUM_EFFICIENCY,
     DEFAULT_RECEIVER_TEMPERATURE,
-    ISI_ENUMERATION_CAP,
     NoiseModel,
 )
 from .channel import (
     DEFAULT_HG_ASYMMETRY,
     DEFAULT_REFRACTIVE_INDEX,
     DEFAULT_TAIL_EPSILON,
+    ISI_ENUMERATION_CAP,
     WATER_PRESETS,
     ImpulseResponse,
     LinkGeometry,

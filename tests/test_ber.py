@@ -16,17 +16,20 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import erfcx
+from scipy.special import erfc, erfcx
 from scipy.stats import norm, poisson
 
 import uwoc_relay_sim as u
 import uwoc_relay_sim.ber as ber_module
+import uwoc_relay_sim.channel as channel_module
 from uwoc_relay_sim.ber import _fading_nodes
 from uwoc_relay_sim.constants import (
     BOLTZMANN,
@@ -382,7 +385,7 @@ def test_saddle_solver_matches_oracle_on_hop_grid(ir_coastal_22p5, noise_1ns, po
     )
     h, _ = _fading_nodes(hop, "saddle_point", 30)
     n_ph = hop.photons_per_bit
-    values, _ = ber_module._isi_distribution(hop.energies.e_isi)
+    values, _ = hop.energies.isi_distribution
     grid = np.linspace(0.0, values.max() * n_ph, 65)
     m0 = noise_1ns.n_bd + np.outer(h, grid)
     m1 = m0 + (h * n_ph * hop.energies.e_signal)[:, None]
@@ -568,6 +571,104 @@ def test_pchip_is_scipy_pchip_to_the_bit(x, y):
     got = ber_module._pchip(x, y)(points)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def mpmath_erfc(x, scaled: bool) -> np.ndarray:
+    """erfc, or erfcx if `scaled`, at 40 digits, rounded to floats."""
+    with mpmath.workdps(40):
+        values = []
+        for v in np.asarray(x, dtype=float):
+            v = mpmath.mpf(float(v))
+            values.append(float(mpmath.exp(v * v) * mpmath.erfc(v) if scaled else mpmath.erfc(v)))
+    return np.array(values)
+
+
+def ulp_errors(got, exact):
+    """|got - exact| in units of the float spacing at exact, where exact is a normal float."""
+    normal = np.isfinite(exact) & (np.abs(exact) >= np.finfo(float).tiny)
+    return np.abs(got[normal] - exact[normal]) / np.spacing(np.abs(exact[normal]))
+
+
+@pytest.mark.parametrize("scaled,lo,hi,bound", [(False, -6.0, 26.5, 6), (True, -3.0, 1e4, 3)],
+                         ids=["erfc", "erfcx"])
+def test_erfc_kernel_matches_mpmath(scaled, lo, hi, bound):
+    # A 1/100 grid, its midpoints shifted off round numbers, and random
+    # points; erfcx also on a geometric grid out to 1e4.
+    rng = np.random.default_rng(3)
+    top = min(hi, 10.0)
+    x = np.concatenate([np.arange(lo, top, 0.01), np.arange(lo, top, 0.01) + 0.0047,
+                        rng.uniform(lo, top, 3000)])
+    if hi > top:
+        x = np.concatenate([x, np.geomspace(top, hi, 1000)])
+    if not scaled:
+        x = np.concatenate([x, rng.uniform(top, hi, 2000)])
+    errors = ulp_errors(ber_module._erfc(x, scaled), mpmath_erfc(x, scaled))
+    assert errors.size > 0.9 * x.size
+    assert errors.max() <= bound
+
+
+def test_erfc_kernel_agrees_with_scipy():
+    # SciPy's erfc rounds x^2 before its exponential, so its own relative
+    # error grows like eps x^2; its erfcx has no such term.
+    eps = np.finfo(float).eps
+    x = np.linspace(-6.0, 26.5, 20001)
+    x = x[erfc(x) >= np.finfo(float).tiny]
+    expected = erfc(x)
+    assert np.all(np.abs(ber_module._erfc(x) - expected) <= 8.0 * eps * (1.0 + x * x) * expected)
+    x = np.concatenate([np.linspace(-3.0, 10.0, 20001), np.geomspace(10.0, 1e4, 2000)])
+    np.testing.assert_allclose(ber_module._erfc(x, scaled=True), erfcx(x), rtol=8.0 * eps, atol=0.0)
+
+
+def test_erfc_kernel_special_values():
+    inf = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = ber_module._erfc(np.array([0.0, -0.0, inf, -inf, np.nan, 27.5, -1e300]))
+        scaled = ber_module._erfc(np.array([0.0, -0.0, inf, -inf, np.nan, -26.7, -1e300, 1e300]),
+                                  scaled=True)
+    assert plain.tolist()[:4] == [1.0, 1.0, 0.0, 2.0] and np.isnan(plain[4])
+    assert plain.tolist()[5:] == [0.0, 2.0]
+    assert scaled.tolist()[:4] == [1.0, 1.0, 0.0, inf] and np.isnan(scaled[4])
+    assert scaled.tolist()[5:7] == [inf, inf]
+    assert scaled[7] == pytest.approx(1.0 / (1e300 * math.sqrt(math.pi)), rel=1e-15)
+
+
+def test_erfc_kernel_keeps_the_shape_and_is_elementwise():
+    value = ber_module._erfc(0.5)
+    assert isinstance(value, np.float64) and value == pytest.approx(math.erfc(0.5), rel=1e-15)
+    assert ber_module._erfc(np.array(0.5), scaled=True).shape == ()
+    # Five rows of 4000 fill more than two blocks; a row is in one block.
+    x = np.random.default_rng(5).normal(0.0, 6.0, (5, 4000))
+    for scaled in (False, True):
+        whole = ber_module._erfc(x, scaled)
+        assert whole.shape == x.shape
+        assert whole.tobytes() == np.stack([ber_module._erfc(row, scaled) for row in x]).tobytes()
+        assert ber_module._erfc(x.T, scaled).tobytes() == np.ascontiguousarray(whole.T).tobytes()
+
+
+def erfcx_fit():
+    """Re-fit the kernel's table: (x + 1/2) erfcx(x) as a degree-24
+    polynomial in t = (x - K) / (x + K), with its fit error."""
+    k = mpmath.mpf(ber_module._ERFCX_K)
+
+    def f(t):
+        if t == 1:
+            return 1 / mpmath.sqrt(mpmath.pi)  # the limit as x -> inf
+        x = k * (1 + t) / (1 - t)
+        return (x + mpmath.mpf(0.5)) * mpmath.exp(x * x) * mpmath.erfc(x)
+
+    with mpmath.workdps(40):
+        poly, error = mpmath.chebyfit(f, [-1, 1], 25, error=True)
+        tail = poly[-1] - mpmath.mpf(float(poly[-1]))
+    return tuple(float(c) for c in poly), float(tail), float(error)
+
+
+def test_erfc_kernel_table_is_the_chebyfit():
+    poly, tail, error = erfcx_fit()
+    assert len(poly) == 25
+    assert poly == ber_module._ERFCX_POLY
+    assert tail == ber_module._ERFCX_POLY_TAIL
+    assert error < 1e-17
 
 
 def ghqf_oracle_awgn(hop: u.HopBerInputs, order: int = 30) -> float:
@@ -761,18 +862,20 @@ def test_hop_average_longest_memory_is_bounded_and_deterministic():
     # The simulator's largest history, with taps decaying over all of it
     # (30% of the signal slot in all); listing or sampling patterns of
     # this length would take gigabytes.
+    # Each average runs on a new hop, so that each builds its own ISI
+    # distribution rather than reading the one cached on the energies.
     taps = np.exp(-np.arange(u.HISTORY_CAP) / 500.0)
-    hop = synthetic_hop(19.0, e_isi=0.3 * 1.7e-4 * taps / taps.sum())
+    e_isi = 0.3 * 1.7e-4 * taps / taps.sum()
     for method in u.BER_METHODS:
         tracemalloc.start()
         try:
-            first = u.hop_average_ber(hop, method)
+            first = u.hop_average_ber(synthetic_hop(19.0, e_isi=e_isi), method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6, f"{method}: peak {peak / 1e6:.1f} MB"
         assert 0.0 < first <= 0.5
-        assert u.hop_average_ber(hop, method) == first
+        assert u.hop_average_ber(synthetic_hop(19.0, e_isi=e_isi), method) == first
 
 
 @pytest.mark.parametrize("power_dbm", [24.0, 27.0, 30.0, 33.0])
@@ -789,8 +892,11 @@ def test_hop_average_convolved_isi_converges_in_grid(fine_irs, monkeypatch, powe
     )
     methods = ("awgn_ghqf", "gaussian")
     default = [u.hop_average_ber(hop, m) for m in methods]
-    monkeypatch.setattr(ber_module, "_ISI_GRID_POINTS", 4 * ber_module._ISI_GRID_POINTS)
+    monkeypatch.setattr(channel_module, "_ISI_GRID_POINTS", 4 * channel_module._ISI_GRID_POINTS)
+    # New energies, since the distribution is cached on the old ones.
+    hop = dataclasses.replace(hop, energies=dataclasses.replace(energies))
     finer = [u.hop_average_ber(hop, m) for m in methods]
+    assert default != finer
     assert default == pytest.approx(finer, rel=1e-6)
 
 

@@ -159,6 +159,20 @@ def test_bit_energies_validation():
         u.BitEnergies(e_signal=-1.0, e_isi=np.array([]))
 
 
+def test_bit_energies_cache_their_isi_distribution_read_only():
+    taps = np.array([8e-6, 4e-6])
+    be = u.BitEnergies(e_signal=1.7e-4, e_isi=taps)
+    taps[0] = 1.0  # the caller's array is copied, not kept
+    assert be.e_isi.tolist() == [8e-6, 4e-6]
+    values, probabilities = be.isi_distribution
+    assert be.isi_distribution[0] is values
+    assert sorted(values.tolist()) == pytest.approx([0.0, 4e-6, 8e-6, 1.2e-5], abs=1e-20)
+    assert probabilities.tolist() == [0.25] * 4
+    for array in (be.e_isi, values, probabilities):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Photon tracing vs Beer-Lambert (pure absorption: closed form)
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import uwoc_relay_sim as u
-from uwoc_relay_sim import cli
+from uwoc_relay_sim import channel, cli
 from uwoc_relay_sim.cli import load_config, main, run_sweep, emit_curves
 from uwoc_relay_sim.errors import ConfigError
 
@@ -383,6 +383,45 @@ def test_sweep_deterministic_and_thread_invariant(tiny_curves, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_sweep_builds_each_isi_distribution_once(tmp_path, monkeypatch):
+    # Every method and power point of a hop averages over the same ISI
+    # distribution, built once per (hop length, rate) and cached on the
+    # slot energies; without the cache each hop average builds its own,
+    # and the outputs are the same bytes.
+    data = {
+        **MINIMAL,
+        "hops": {"lengths_m": [9.0, 12.0, 9.0]},
+        "data_rates_bps": [1e9, 2e9],
+        "power_sweep_dbm": {"start": 10.0, "stop": 30.0, "step": 10.0},
+        "methods": ["awgn_ghqf", "saddle_point", "gaussian"],
+        "mc": {"n_photons": 20_000, "seed": 7},
+    }
+    path = write_config(tmp_path, data)
+    build = channel._isi_distribution
+    built = []
+
+    def counting(e_isi, grid_points=None):
+        built.append(e_isi.size)
+        return build(e_isi, grid_points)
+
+    monkeypatch.setattr(channel, "_isi_distribution", counting)
+    outputs = {}
+    for name in ("cached", "uncached"):
+        if name == "uncached":
+            monkeypatch.setattr(channel.BitEnergies, "isi_distribution",
+                                property(lambda self: channel._isi_distribution(self.e_isi)))
+        built.clear()
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+        outputs[name] = (out / "report.json").read_bytes()
+        report = json.loads(outputs[name])
+        assert all(not curve["metadata"]["failed_points"] for curve in report["curves"])
+        # Two distinct lengths at two rates; uncached, one build per hop
+        # average: 2 rates x 3 methods x 3 powers x 2 distinct hops.
+        assert len(built) == (4 if name == "cached" else 36)
+    assert outputs["cached"] == outputs["uncached"]
+
+
 def test_emitted_files_are_byte_stable(tiny_curves, tmp_path):
     _, curves = tiny_curves
     (a,) = emit_curves(curves, "csv", tmp_path / "a")
@@ -656,14 +695,9 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert json.loads(proc.stdout)["water"]["preset"] == "coastal"
 
 
-# The run path needs numpy and scipy.special only; SciPy's quadrature,
-# root finders and interpolators, and the sparse and dense linear algebra
-# they import, cost about 30 MB and 0.3 s in every process.
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.sparse",
-               "scipy.linalg")
-
-
-def test_commands_import_no_heavy_scipy_subpackage(tmp_path):
+def test_commands_import_no_scipy(tmp_path):
+    # The run path needs numpy alone; importing even scipy.special costs
+    # about 0.1 s and 22 MB in every process.
     path = write_config(tmp_path, TINY_SWEEP)
     script = (
         "import sys\n"
@@ -671,8 +705,7 @@ def test_commands_import_no_heavy_scipy_subpackage(tmp_path):
         f"for argv in (['validate'], ['channel', '--out', {str(tmp_path / 'ir')!r}],\n"
         f"             ['run', '--out', {str(tmp_path / 'run')!r}]):\n"
         f"    assert main([argv[0], '--config', {str(path)!r}, *argv[1:]]) == 0\n"
-        f"heavy = {HEAVY_SCIPY!r}\n"
-        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(u.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -699,15 +732,15 @@ RELAY_SWEEP = {
 # curve. Any change to a value, to the order of random draws or to the
 # output format moves a digest. Like the trace pins in test_channel, the
 # digests hold for one numpy build on one CPU family. The four `run` pins
-# were last re-recorded when the fading average's mode moved from Brent's
-# method to a Newton iteration: 8 of their 13 analytic BERs moved, by at
-# most 1.4e-14 relative, and every Monte Carlo count stayed the same.
+# were last re-recorded when SciPy's erfc and erfcx gave way to the
+# package's own kernel (`ber._erfc`): 10 of their 13 analytic BERs moved,
+# by at most 4.1e-15 relative, and every Monte Carlo count stayed the same.
 FROZEN_OUTPUTS = {
     # name: (config, CLI arguments after --config, file written or None for stdout, sha256)
-    "tiny-csv": (TINY_SWEEP, ["run", "--format", "csv"], "curves.csv", "6f52c2a53f6a2dc15d92388e1618fa1ce6a27aa0596ea3482091f82dab43c193"),
-    "tiny-json": (TINY_SWEEP, ["run", "--format", "json"], "report.json", "03e1023e55d7e1f88c7d5a1c527c5dcf382fd27eb8ea8a7fa403a55bdcdb1a86"),
-    "relay-csv": (RELAY_SWEEP, ["run", "--format", "csv"], "curves.csv", "1ed67c2f17af621252c2af5ba619b0a2f2c20775c964a526254583dc44139892"),
-    "relay-json": (RELAY_SWEEP, ["run", "--format", "json"], "report.json", "710c62c7ef1b5bbcd38e5af29c4948ec84df4bbe8288ad1be92225c172570a01"),
+    "tiny-csv": (TINY_SWEEP, ["run", "--format", "csv"], "curves.csv", "b08fd3f47e83ae6ab6c4aea77e60d115919324233433996c706582719ce62d98"),
+    "tiny-json": (TINY_SWEEP, ["run", "--format", "json"], "report.json", "c25f0ccfe6baca1f54e3bc55c1381da75d8daaad79ba466b9c46ba206ce532e3"),
+    "relay-csv": (RELAY_SWEEP, ["run", "--format", "csv"], "curves.csv", "05e4518168c642b4f33c57831c3ff4e0639265dbf0cf5c04be48f669e1775e16"),
+    "relay-json": (RELAY_SWEEP, ["run", "--format", "json"], "report.json", "bfedcd66994c8204b747b7848dcc356d4c1be61b01005e2b3ad4a524d5440fec"),
     "tiny-channel": (TINY_SWEEP, ["channel"], "impulse_response_0.csv", "8f4b986dcace361f7e2444851351cade38be984525d25e6261c99313721a3f78"),
     "relay-validate": (RELAY_SWEEP, ["validate"], None, "ee41cf31a8d4efe2d4b4cdef3f18cf27471d71b4f0a202bd373e6b3dbf535746"),
 }

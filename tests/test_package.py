@@ -95,9 +95,9 @@ def test_hop_path_takes_the_order_and_no_rate():
     assert "data_rate" not in inspect.signature(u.RelayChain.assemble).parameters
 
 
-def test_scipy_special_is_the_only_scipy_import():
-    # At module level or inside a function: numpy and scipy.special are
-    # the run path's only numerical dependencies.
+def test_src_imports_no_scipy():
+    # At module level or inside a function: numpy is the run path's only
+    # numerical dependency.
     imported = set()
     for path in Path(u.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -105,7 +105,8 @@ def test_scipy_special_is_the_only_scipy_import():
                 imported |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module)
-    assert {name for name in imported if name.split(".")[0] == "scipy"} == {"scipy.special"}
+    assert "numpy" in imported
+    assert {name for name in imported if name.split(".")[0] == "scipy"} == set()
 
 
 def test_readme_library_quick_start_runs(capsys):
