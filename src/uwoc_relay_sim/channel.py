@@ -25,6 +25,7 @@ Academic Press, 1994 (inherent optical properties of sea water).
 
 from __future__ import annotations
 
+import copy
 import io
 import logging
 import math
@@ -73,7 +74,7 @@ need at most about 95)."""
 
 TRACE_BATCH = 1_000_000
 """Photons per traced batch, each with its own child seed; bounds peak memory
-at about 72 bytes per photon of a batch."""
+at about 64 bytes per photon of a batch."""
 
 
 @dataclass(frozen=True)
@@ -394,29 +395,26 @@ ROTATION_BLOCK = 8192
 def _rotate_directions(ux, uy, uz, cos_t, phi) -> None:
     """Rotate unit vectors, in place, by polar angle theta (cos_t) and azimuth phi.
 
-    The formula runs on blocks of `ROTATION_BLOCK` photons, so its
-    temporaries stay cache-sized; each element sees the same operations as
-    on the whole array, so the result does not depend on the block size.
+    The tracer passes one block of at most `ROTATION_BLOCK` photons, so the
+    temporaries stay cache-sized; each element sees the same operations
+    whatever the array size, so the result does not depend on the block size.
     """
-    for lo in range(0, ux.size, ROTATION_BLOCK):
-        blk = slice(lo, lo + ROTATION_BLOCK)
-        bx, by, bz, bc = ux[blk], uy[blk], uz[blk], cos_t[blk]
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - bc * bc))
-        cos_p = np.cos(phi[blk])
-        sin_p = np.sin(phi[blk])
-        denom = np.sqrt(np.maximum(1e-24, 1.0 - bz * bz))
-        nx = sin_t * (bx * bz * cos_p - by * sin_p) / denom + bx * bc
-        ny = sin_t * (by * bz * cos_p + bx * sin_p) / denom + by * bc
-        nz = -sin_t * cos_p * denom + bz * bc
-        # Along the z axis the frame above is undefined; rotate about z instead.
-        pole = np.flatnonzero(np.abs(bz) > 0.999999)
-        nx[pole] = sin_t[pole] * cos_p[pole]
-        ny[pole] = sin_t[pole] * sin_p[pole]
-        nz[pole] = np.sign(bz[pole]) * bc[pole]
-        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-        np.divide(nx, norm, out=bx)
-        np.divide(ny, norm, out=by)
-        np.divide(nz, norm, out=bz)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    cos_p = np.cos(phi)
+    sin_p = np.sin(phi)
+    denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
+    nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
+    ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
+    nz = -sin_t * cos_p * denom + uz * cos_t
+    # Along the z axis the frame above is undefined; rotate about z instead.
+    pole = np.flatnonzero(np.abs(uz) > 0.999999)
+    nx[pole] = sin_t[pole] * cos_p[pole]
+    ny[pole] = sin_t[pole] * sin_p[pole]
+    nz[pole] = np.sign(uz[pole]) * cos_t[pole]
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    np.divide(nx, norm, out=ux)
+    np.divide(ny, norm, out=uy)
+    np.divide(nz, norm, out=uz)
 
 
 def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -453,13 +451,18 @@ def _trace_batch(
 ) -> np.ndarray:
     """Trace one photon batch; returns the summed weight histogram (not normalized).
 
-    The batch lives in one preallocated state of eight arrays plus one
-    buffer of scattering cosines. Each step runs over blocks of
-    `ROTATION_BLOCK` live photons and compacts the kept ones, in place, into
-    the front of the state. A step draws, in this order, the free paths of
-    all live photons, the scattering cosines of all kept ones, and their
-    azimuths; a draw split into consecutive chunks of one distribution
-    returns the same values, so the trace does not depend on the block size.
+    The batch lives in one preallocated state of eight arrays (64 bytes per
+    photon). Each step runs over blocks of `ROTATION_BLOCK` live photons and
+    compacts the kept ones, in place, into the front of the state. A step
+    draws, in this order, the free paths of all live photons, the scattering
+    cosines of all kept ones, and their azimuths. The cosines come from a
+    copy of the generator, and the generator itself is advanced past them
+    before it draws the azimuths, so both are drawn block by block in the
+    scattering pass without buffering a step's cosines. This relies on
+    `rng` being PCG64, where one double takes one 64-bit output and
+    `advance(k)` equals `random(k)`; a draw split into consecutive chunks
+    of one distribution returns the same values, so the trace does not
+    depend on the block size.
     """
     d = geometry.distance
     r_ap = geometry.aperture_diameter / 2.0
@@ -503,7 +506,6 @@ def _trace_batch(
     ux, uy, uz = state[:3]
     _launch_directions(rng, theta_half, ux, uy, uz)
     state[6] = 1.0
-    cos_t = np.empty(n)
 
     # Lossless water has no interactions, so its analytic first flight is
     # the whole trace (and exp(-c s) is exactly 1).
@@ -551,11 +553,13 @@ def _trace_batch(
         analytic_flight = False
         live = kept
 
-        _henyey_greenstein_cos(water.hg_asymmetry, rng.random(out=cos_t[:live]))
+        cosines = copy.deepcopy(rng)
+        rng.bit_generator.advance(live)
         for lo in range(0, live, ROTATION_BLOCK):
             blk = slice(lo, min(lo + ROTATION_BLOCK, live))
+            cos_t = _henyey_greenstein_cos(water.hg_asymmetry, cosines.random(blk.stop - lo))
             phi = rng.random(blk.stop - lo) * (2.0 * np.pi)
-            _rotate_directions(ux[blk], uy[blk], uz[blk], cos_t[blk], phi)
+            _rotate_directions(ux[blk], uy[blk], uz[blk], cos_t, phi)
     return hist
 
 
@@ -585,8 +589,8 @@ def simulate_impulse_response(
     seed spawned from `rng_seed` in a fixed order, so results are
     reproducible and independent of how batches are executed: a given
     seed always yields bit-identical output. Peak memory scales with
-    `TRACE_BATCH`, not with `n_photons`: a batch holds about 72 bytes per
-    photon at its peak (about 72 MB for a full batch).
+    `TRACE_BATCH`, not with `n_photons`: a batch holds about 64 bytes per
+    photon at its peak (about 64 MB for a full batch).
 
     With `ballistic_splitting` (default) the never-scattered energy is
     added analytically and the traced photons importance-sample the
