@@ -546,7 +546,8 @@ def _trace_batch(
             bz += step * buz
             bpath += step
             if kept < lo or keep.size < bw.size:
-                state[:, kept : kept + keep.size] = block[:, keep]
+                for row, dest in zip(block, state[:, kept : kept + keep.size]):
+                    np.take(row, keep, out=dest)
             kept += keep.size
         if step_hist.size:
             hist = _add_histograms(hist, step_hist)
