@@ -10,10 +10,14 @@ equiprobable bit patterns, which every receiver model averages over.
 
 Scattering is Henyey-Greenstein; absorption is handled by survival
 weighting (each interaction multiplies the photon weight by the single-
-scattering albedo b/c) so no photon is lost to an absorption roulette.
-The never-scattered (ballistic) component is accounted analytically by
-default, which removes the dominant variance term on long paths where
-exp(-c d) arrivals are too rare to sample.
+scattering albedo b/c), so absorption alone never ends a photon. A
+photon whose weight has fallen below `ROULETTE_THRESHOLD` plays Russian
+roulette: it survives with chance `ROULETTE_CHANCE`, and a survivor's
+weight is divided by that chance, so the expected weight, and with it
+every estimate, is unchanged. The never-scattered (ballistic) component
+is accounted analytically by default, which removes the dominant
+variance term on long paths where exp(-c d) arrivals are too rare to
+sample.
 
 References
 ----------
@@ -21,6 +25,9 @@ L. G. Henyey and J. L. Greenstein, "Diffuse radiation in the galaxy,"
 Astrophys. J. 93 (1941).
 C. Mobley, "Light and Water: Radiative Transfer in Natural Waters,"
 Academic Press, 1994 (inherent optical properties of sea water).
+L. Wang, S. L. Jacques and L. Zheng, "MCML - Monte Carlo modeling of
+light transport in multi-layered tissues," Comput. Methods Programs
+Biomed. 47 (1995) (Russian roulette).
 """
 
 from __future__ import annotations
@@ -64,13 +71,18 @@ DEFAULT_WAVELENGTH = 532e-9
 DEFAULT_TAIL_EPSILON = 1e-6
 """Relative tail mass of the slot energies left out of the channel memory."""
 
-WEIGHT_FLOOR = 1e-6
-"""Photon weight below which tracing stops; bounds runtime in turbid water."""
+ROULETTE_THRESHOLD = 1e-4
+"""Fraction of its launch weight below which a photon plays Russian roulette."""
 
-_MAX_INTERACTIONS = 10_000
-"""Most interactions a photon may survive before its weight falls below
-`WEIGHT_FLOOR`; water whose albedo allows more is refused (the presets
-need at most about 95)."""
+ROULETTE_CHANCE = 0.1
+"""Chance that a photon survives the roulette; a survivor's weight is divided by it."""
+
+_MAX_ALBEDO = 1e-6 ** (1.0 / 10_000)
+"""Highest albedo the tracer accepts (about 0.99862): no photon may keep
+more than 1e-6 of its weight for more than 10000 interactions. Off the
+receiver plane only absorption and the roulette end a trace, and at
+albedo 1 no weight ever falls; the presets reach `ROULETTE_THRESHOLD`
+within about 63 interactions."""
 
 TRACE_BATCH = 1_000_000
 """Photons per traced batch, each with its own child seed; bounds peak memory
@@ -216,8 +228,14 @@ class ImpulseResponse:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str) -> "ImpulseResponse":
-        """Parse the `to_csv` format back into an ImpulseResponse."""
+    def from_csv(cls, text: str, bin_width: float | None = None) -> "ImpulseResponse":
+        """Parse the `to_csv` format back into an ImpulseResponse.
+
+        The bin width is recovered from the bin starts. A one-bin response
+        (a hop that nothing reaches, or lossless water) has a single start,
+        so its width must be given as `bin_width`; with more bins, a given
+        `bin_width` must agree with the recovered one to 1e-6 relative.
+        """
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0].strip() != "bin_start_s,energy_fraction":
             raise ValueError("expected header 'bin_start_s,energy_fraction'")
@@ -230,13 +248,20 @@ class ImpulseResponse:
         if len(starts) < 1:
             raise ValueError("impulse response CSV has no bins")
         if len(starts) == 1:
-            raise ValueError("impulse response CSV needs at least 2 bins to recover bin_width")
+            if bin_width is None:
+                raise ValueError(
+                    "impulse response CSV needs at least 2 bins to recover bin_width; "
+                    "pass bin_width for a one-bin response"
+                )
+            return cls(bin_width=bin_width, t_start=starts[0], energy_fraction=np.array(fracs))
         starts = np.array(starts)
         if not np.all(np.diff(starts) > 0.0):
             raise ValueError("impulse response CSV bin starts must increase")
         width = _bin_width_from_starts(starts)
         if np.max(np.abs(starts[0] + np.arange(starts.size) * width - starts)) > 1e-6 * width:
             raise ValueError("impulse response CSV bin starts are not evenly spaced")
+        if bin_width is not None and not abs(bin_width - width) <= 1e-6 * width:
+            raise ValueError(f"bin_width {bin_width!r} disagrees with the bin starts' width {width!r}")
         return cls(bin_width=width, t_start=float(starts[0]), energy_fraction=np.array(fracs))
 
 
@@ -463,6 +488,12 @@ def _trace_batch(
     `advance(k)` equals `random(k)`; a draw split into consecutive chunks
     of one distribution returns the same values, so the trace does not
     depend on the block size.
+
+    The roulette draws one deviate per photon that plays it, in photon
+    order, from a generator of its own: the first child of `rng`'s seed
+    sequence. The free paths, cosines and azimuths thus keep their stream,
+    and every step before the first roulette draws what it would draw
+    without one.
     """
     d = geometry.distance
     r_ap = geometry.aperture_diameter / 2.0
@@ -473,6 +504,10 @@ def _trace_batch(
     n_water = water.refractive_index
     t_start = d * n_water / SPEED_OF_LIGHT
     hist = np.zeros(1)
+    # The first child of the seed sequence, built without spawning from
+    # (and so changing) the sequence `rng` holds.
+    seq = rng.bit_generator.seed_seq
+    roulette = np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, 0)))
 
     def receive(block: np.ndarray, s_plane: np.ndarray, crossed: np.ndarray, ballistic: bool) -> None:
         """Deposit the photons of `block` in mask `crossed`, which reach the
@@ -538,9 +573,15 @@ def _trace_batch(
                 receive(block, s_plane, crossed, ballistic=False)
 
             # Photons that hit the plane terminate there; the rest interact,
-            # and those whose weight falls below the floor stop.
+            # and those whose weight falls below the threshold play roulette.
             bw *= albedo
-            keep = np.flatnonzero(~crossed & (bw >= WEIGHT_FLOOR))
+            alive = ~crossed
+            players = np.flatnonzero(alive & (bw < ROULETTE_THRESHOLD))
+            if players.size:
+                won = roulette.random(players.size) < ROULETTE_CHANCE
+                bw[players[won]] /= ROULETTE_CHANCE
+                alive[players[~won]] = False
+            keep = np.flatnonzero(alive)
             bx += step * bux
             by += step * buy
             bz += step * buz
@@ -578,13 +619,17 @@ def simulate_impulse_response(
     Photons launch at the origin into a cone of the configured beam
     divergence, fly exponential free paths with rate c = a + b, scatter
     through Henyey-Greenstein angles, and lose weight by the albedo b/c at
-    each interaction (weights below `WEIGHT_FLOOR` terminate). A photon is
-    recorded when it crosses the receiver plane inside the aperture with
-    arrival direction within the field-of-view cone; any plane crossing
-    terminates the photon. Water whose albedo keeps a photon above the
-    floor for more than `_MAX_INTERACTIONS` interactions (albedo above
-    about 0.99862) is refused with a ValueError, since nothing else bounds
-    the trace.
+    each interaction. A photon whose weight falls below
+    `ROULETTE_THRESHOLD` of its launch weight survives with chance
+    `ROULETTE_CHANCE` and has its weight divided by that chance (Russian
+    roulette), which ends dim photons early without biasing any estimate.
+    A photon is recorded when it crosses the receiver plane inside the
+    aperture with arrival direction within the field-of-view cone; any
+    plane crossing terminates the photon. Water whose albedo exceeds
+    `_MAX_ALBEDO` (about 0.99862, where 10000 interactions leave a photon
+    1e-6 of its weight) is refused with a ValueError: a photon there takes
+    thousands of interactions to reach the roulette, and at albedo 1 it
+    never does.
 
     Photons are traced in batches of `TRACE_BATCH`, each driven by a child
     seed spawned from `rng_seed` in a fixed order, so results are
@@ -607,12 +652,10 @@ def simulate_impulse_response(
         raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    # ln(WEIGHT_FLOOR) / ln(albedo) interactions reach the floor.
-    if water.albedo > WEIGHT_FLOOR ** (1.0 / _MAX_INTERACTIONS):
+    if water.albedo > _MAX_ALBEDO:
         raise ValueError(
-            f"albedo b/(a+b) = {water.albedo:.8g} keeps a photon above the weight floor "
-            f"{WEIGHT_FLOOR:g} for more than {_MAX_INTERACTIONS} interactions; "
-            "raise the absorption"
+            f"albedo b/(a+b) = {water.albedo:.8g} keeps a photon above 1e-06 of its weight "
+            "for more than 10000 interactions; raise the absorption"
         )
 
     n_batches = -(-int(n_photons) // TRACE_BATCH)

@@ -96,6 +96,8 @@ def test_impulse_response_csv_round_trip():
     assert back.bin_width == ir.bin_width
     assert back.t_start == ir.t_start
     np.testing.assert_array_equal(back.energy_fraction, ir.energy_fraction)
+    # A given width that agrees with the starts is accepted.
+    assert u.ImpulseResponse.from_csv(text, bin_width=1e-10).bin_width == ir.bin_width
     # A NumPy start (from a NumPy hop length) writes the same plain numbers.
     numpy_start = u.ImpulseResponse(
         bin_width=ir.bin_width, t_start=np.float64(ir.t_start), energy_fraction=ir.energy_fraction
@@ -138,12 +140,26 @@ def test_impulse_response_csv_width_reproduces_every_start(bin_width):
     assert len(repr(back.bin_width)) <= len(repr(bin_width))
 
 
+@pytest.mark.parametrize("water, distance", [
+    (u.WaterProperties(absorption=0.0, scattering=0.0), 5.0),  # lossless: all energy in bin 0
+    (u.WaterProperties.preset("harbor"), 400.0),  # nothing arrives
+], ids=["lossless", "harbor-400m-empty"])
+def test_one_bin_response_round_trips_with_its_bin_width(water, distance):
+    ir = u.simulate_impulse_response(u.LinkGeometry(distance=distance), water, 1_000, 1e-10, rng_seed=1)
+    assert ir.energy_fraction.size == 1
+    back = u.ImpulseResponse.from_csv(ir.to_csv(), bin_width=ir.bin_width)
+    assert (back.bin_width, back.t_start) == (ir.bin_width, ir.t_start)
+    assert back.energy_fraction.tobytes() == ir.energy_fraction.tobytes()
+
+
 def test_impulse_response_csv_errors():
     with pytest.raises(ValueError, match="header"):
         u.ImpulseResponse.from_csv("time,energy\n0.0,1.0\n")
     single = u.ImpulseResponse(bin_width=1e-10, t_start=0.0, energy_fraction=np.array([1.0]))
     with pytest.raises(ValueError, match="at least 2 bins"):
         u.ImpulseResponse.from_csv(single.to_csv())
+    with pytest.raises(ValueError, match="bin_width 1.1e-10 disagrees"):
+        u.ImpulseResponse.from_csv("bin_start_s,energy_fraction\n0.0,0.1\n1e-10,0.1\n", bin_width=1.1e-10)
     with pytest.raises(ValueError, match="must increase"):
         u.ImpulseResponse.from_csv("bin_start_s,energy_fraction\n1e-9,0.5\n1e-9,0.5\n")
     with pytest.raises(ValueError, match="not evenly spaced"):
@@ -255,13 +271,14 @@ def test_capture_decreases_with_distance(ir_coastal_11p25, ir_coastal_22p5, ir_c
 
 def test_frozen_impulse_response_regression(ir_coastal_22p5, ir_coastal_45, ir_coastal_11p25):
     # Pinned outputs for seed 7 / 1e7 photons / default batching; any
-    # change to the tracer or its seed contract must be deliberate.
+    # change to the tracer or its seed contract must be deliberate
+    # (scripts/verify_trace_repins.py compares them with the weight floor's).
     assert ir_coastal_11p25.energy_fraction.size == 209
     assert ir_coastal_11p25.total_fraction == pytest.approx(1.526857e-2, rel=5e-6)
-    assert ir_coastal_22p5.energy_fraction.size == 1303
+    assert ir_coastal_22p5.energy_fraction.size == 450
     assert ir_coastal_22p5.total_fraction == pytest.approx(1.815543e-4, rel=5e-6)
-    assert ir_coastal_45.energy_fraction.size == 556
-    assert ir_coastal_45.total_fraction == pytest.approx(2.424435e-8, rel=5e-6)
+    assert ir_coastal_45.energy_fraction.size == 304
+    assert ir_coastal_45.total_fraction == pytest.approx(2.415575e-8, rel=5e-6)
 
 
 # Byte pins for small traces that together reach every branch of the
@@ -269,8 +286,10 @@ def test_frozen_impulse_response_regression(ir_coastal_22p5, ir_coastal_45, ir_c
 # splitting, lossless water both ways, an exactly on-axis launch (every
 # first scatter takes the near-pole rotation), fine bins merged over
 # several batches, a weight floor that cuts photons which would otherwise
-# arrive, isotropic and backward-peaked scattering, and a trace that
-# receives nothing. Any change to the arithmetic or to the order of random
+# arrive (the roulette with survival chance 0, which is the tracer's old
+# floor), a roulette threshold raised so that most interactions play it,
+# isotropic and backward-peaked scattering, and a trace that receives
+# nothing. Any change to the arithmetic or to the order of random
 # draws moves a digest. The digests hold for one numpy build on one CPU
 # family; a different exp/log implementation may move the last bits.
 FROZEN_TRACE_N = 20_000
@@ -294,8 +313,9 @@ FROZEN_TRACES = {
     "lossless-analog": ("lossless", {"distance": 5.0}, 3, {"ballistic_splitting": False}, 1, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     "zero-divergence": ("coastal", {"distance": 9.0, "beam_divergence_full": 0.0}, 7, {}, 10, "09ef06804c4966aa258ac768ec1d3dcd8e0e1e8f3a4214d53e674040ad595453"),
     "fine-bins-small-batches": ("coastal", {"distance": 22.5}, 7, {"bin_width": 1e-11, "TRACE_BATCH": 7000}, 165, "faee49ec66022819a20e87e29c0f8dd84eb8ea471828f2c50856ecf218057be2"),
-    "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "WEIGHT_FLOOR": 1e-3}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
-    "coastal-9m-isotropic": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": 0.0}, 1677, "4cb01cd40b31a2e3d1388cc4fa7ceba44aee7e446bf95b0d7449dfe4a742e252"),
+    "weight-floor-1e-3": ("clear", {"distance": 22.5}, 7, {"ballistic_splitting": False, "ROULETTE_THRESHOLD": 1e-3, "ROULETTE_CHANCE": 0.0}, 6, "7a5afdf9dbedaa651aef6228de6fb671dc284a97e807b6eba7f762549b2617d1"),
+    "roulette-threshold-0.3": ("coastal", {"distance": 9.0}, 7, {"ROULETTE_THRESHOLD": 0.3}, 3, "d74fa651e73bd13559de4e59540d1daf72d6360bf1ed9fd415a2bc147c846dd3"),
+    "coastal-9m-isotropic": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": 0.0}, 2, "25e5d69f39c2dbdf7a23164de176f8afbca5844c5a30794781b30ed3e31cbde3"),
     "coastal-9m-backward-analog": ("coastal", {"distance": 9.0}, 7, {"hg_asymmetry": -0.3, "ballistic_splitting": False}, 844, "d0e522beae132afa932a6dc9e1db4a9a2fb68adfa79067fe59a38f75d98cd7fe"),
     "harbor-60m-empty": ("harbor", {"distance": 60.0}, 1, {"ballistic_splitting": False, "n_photons": 1_000}, 1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
 }
@@ -307,12 +327,12 @@ def test_trace_bytes_are_frozen(name, monkeypatch):
 
 
 # Traces that reach the near-pole rotation, lossless water, several
-# batches, isotropic scattering, the weight floor and the analog
-# estimator, each stepped in blocks of 97 photons: a step's blocks, like
-# its rotation, must not move a bit.
+# batches, isotropic scattering, the weight floor, the roulette and the
+# analog estimator, each stepped in blocks of 97 photons: a step's blocks,
+# like its rotation and its roulette draws, must not move a bit.
 @pytest.mark.parametrize("name", [
     "zero-divergence", "lossless-split", "lossless-analog", "fine-bins-small-batches",
-    "coastal-9m-isotropic", "weight-floor-1e-3", "coastal-9m-analog",
+    "coastal-9m-isotropic", "weight-floor-1e-3", "roulette-threshold-0.3", "coastal-9m-analog",
 ])
 def test_trace_bytes_do_not_depend_on_the_block_size(name, monkeypatch):
     monkeypatch.setattr(channel, "ROTATION_BLOCK", 97)
@@ -366,6 +386,27 @@ def test_batching_preserves_seed_contract(monkeypatch):
     frac = hist / 90_000.0
     merged = frac[: np.flatnonzero(frac)[-1] + 1]
     assert ir.energy_fraction.tobytes() == merged.tobytes()
+
+
+def test_roulette_is_unbiased(monkeypatch):
+    # With the threshold raised to 0.3, coastal photons play the roulette
+    # from their second interaction on. Their captured energy and signal
+    # slot must match, within 4 batch-means standard errors of the paired
+    # difference over ten seeds, those of a trace that stops photons only
+    # below 1e-30 of their weight: a floor that leaves nothing measurable.
+    geometry = u.LinkGeometry(distance=9.0)
+
+    def per_seed(threshold, chance):
+        monkeypatch.setattr(channel, "ROULETTE_THRESHOLD", threshold)
+        monkeypatch.setattr(channel, "ROULETTE_CHANCE", chance)
+        irs = [u.simulate_impulse_response(geometry, COASTAL, 20_000, 1e-10, seed) for seed in range(10)]
+        return np.array([(ir.total_fraction, u.bit_frame_energies(ir, 1e-9).e_signal) for ir in irs])
+
+    diff = per_seed(0.3, 0.1) - per_seed(1e-30, 0.0)
+    se = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
+    assert np.all(se > 0.0)
+    for name, mean, err in zip(("captured fraction", "e_signal"), diff.mean(axis=0), se):
+        assert abs(mean) <= 4.0 * err, f"{name}: roulette minus floor {mean:.3e}, standard error {err:.3e}"
 
 
 def test_trace_batch_peak_memory_per_photon():
@@ -493,7 +534,7 @@ def water_of_albedo(albedo: float, scattering: float = 0.02) -> u.WaterPropertie
 @pytest.mark.parametrize("albedo", [1.0, 0.99999, 0.9987])
 def test_tracer_refuses_water_that_hardly_absorbs(albedo):
     # Each interaction leaves a photon `albedo` of its weight, so it takes
-    # ln(WEIGHT_FLOOR) / ln(albedo) of them to reach the floor: more than
+    # ln(1e-6) / ln(albedo) of them to fall below 1e-6 of it: more than
     # 10000 here, and without end at albedo 1.
     with pytest.raises(ValueError, match=r"^albedo b/\(a\+b\) = .* more than 10000 interactions"):
         u.simulate_impulse_response(
@@ -503,7 +544,7 @@ def test_tracer_refuses_water_that_hardly_absorbs(albedo):
 
 def test_tracer_accepts_water_just_below_the_albedo_cap():
     water = water_of_albedo(0.9986)
-    assert 9_000 < math.log(channel.WEIGHT_FLOOR) / math.log(water.albedo) < 10_000
+    assert 9_000 < math.log(1e-6) / math.log(water.albedo) < 10_000
     ir = u.simulate_impulse_response(u.LinkGeometry(distance=10.0), water, 100, 1e-10, rng_seed=1)
     assert 0.0 < ir.total_fraction <= 1.0
 

@@ -343,9 +343,13 @@ def test_cli_run_fails_cleanly_when_no_photon_reaches_a_hop(tmp_path):
     assert not (tmp_path / "run").exists()
     channel = cli_process("channel", "--config", path, "--out", tmp_path / "ir")
     assert channel.returncode == 0, channel.stderr
-    rows = (tmp_path / "ir" / "impulse_response_0.csv").read_text().splitlines()
+    text = (tmp_path / "ir" / "impulse_response_0.csv").read_text()
+    rows = text.splitlines()
     assert rows[0] == "bin_start_s,energy_fraction"
     assert [row.split(",")[1] for row in rows[1:]] == ["0.0"]
+    # One bin gives no width; the caller supplies it (a tenth of a 1 ns bit).
+    ir = u.ImpulseResponse.from_csv(text, bin_width=1e-10)
+    assert ir.is_empty and ir.to_csv() == text
 
 
 def test_cli_water_that_never_absorbs_is_refused_before_tracing(tmp_path):
@@ -359,7 +363,7 @@ def test_cli_water_that_never_absorbs_is_refused_before_tracing(tmp_path):
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == (
             "configuration error: invalid configuration: water: albedo b/(a+b) = 1 keeps a "
-            "photon above the weight floor 1e-06 for more than 10000 interactions; raise the "
+            "photon above 1e-06 of its weight for more than 10000 interactions; raise the "
             "absorption\n"
         )
         assert not (tmp_path / command).exists()
