@@ -12,6 +12,7 @@ distribution of long channel memories against all 2^L patterns.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import math
 import re
@@ -644,6 +645,44 @@ def test_erfc_kernel_keeps_the_shape_and_is_elementwise():
         assert whole.shape == x.shape
         assert whole.tobytes() == np.stack([ber_module._erfc(row, scaled) for row in x]).tobytes()
         assert ber_module._erfc(x.T, scaled).tobytes() == np.ascontiguousarray(whole.T).tobytes()
+
+
+ERFC_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 27.5, 28.1, 1e300, -1e300]
+EB = ber_module._ERFC_BLOCK
+# sha256 of _erfc(x) and _erfc(x, scaled=True) on `erfc_pin_grid(size)`.
+# The accuracy tests allow a few ulp; these pins catch any moved bit, as
+# the CLI digests would. They hold for one numpy build on one CPU family.
+FROZEN_ERFC = {
+    0: ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    1: ("3f710ac088db33363087de2b9a657541fe5447821debaa9fe5cbd538eb1a5f29",
+        "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd"),
+    EB - 1: ("1e96fb6e04d219263d5195742740f813e06442c130fa9b4e7d593f6575a3565c",
+             "b7779aa8537dde6fbb706c18e91caeac90bd4cebaf45f596263dbc45bcf2e353"),
+    EB + 1: ("d61266f86eea3b114175483ae46d758cda092aeec3ffca79f0afa10ee3d96881",
+             "c6fc05b6c8fc111f06819be081d4ba6bc6d2f52adad24565078b11fbf037bc1e"),
+    3 * EB + 17: ("80f2c11780402b3e1443d02d12baca5effaa8a2b2f89832ce43bde4127731e5f",
+                  "430da9b82db1588d999ec5f6b8dccebf2b5d65980e49df2fcc5d9d04d0963c8e"),
+}
+
+
+def erfc_pin_grid(size):
+    """`size` points from -30 to 1e4, dense near 0, with the special
+    values spread over the interior once they fit."""
+    x = np.sinh(np.linspace(math.asinh(-30.0), math.asinh(1e4), size))
+    if size > len(ERFC_SPECIALS):
+        x[np.linspace(1, size - 2, len(ERFC_SPECIALS)).astype(int)] = ERFC_SPECIALS
+    return x
+
+
+@pytest.mark.parametrize("size", list(FROZEN_ERFC))
+def test_erfc_kernel_bytes_are_frozen(size):
+    x = erfc_pin_grid(size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digests = tuple(hashlib.sha256(ber_module._erfc(x, scaled).tobytes()).hexdigest()
+                        for scaled in (False, True))
+    assert digests == FROZEN_ERFC[size]
 
 
 def erfcx_fit():
