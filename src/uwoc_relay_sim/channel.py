@@ -414,29 +414,73 @@ def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
 
 
 ROTATION_BLOCK = 8192
-"""Photons per block of a tracer step: one block's temporaries fit in cache."""
+"""Photons per block of a tracer step. A batch's steps write every
+intermediate into one `_workspace` of rows this long, which stays in cache."""
 
 
-def _rotate_directions(ux, uy, uz, cos_t, phi) -> None:
+def _workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eight rows of `width` doubles and three of `width` bools: all that one
+    block of a tracer's launch, step pass or rotation writes besides the
+    photon state, the deposits' bins and the indices of the photons kept,
+    crossing or playing the roulette. The passes take turns with the rows."""
+    return np.empty((8, width)), np.empty((3, width), dtype=bool)
+
+
+def _rotate_directions(ux, uy, uz, cos_t, phi, work) -> None:
     """Rotate unit vectors, in place, by polar angle theta (cos_t) and azimuth phi.
 
-    The tracer passes one block of at most `ROTATION_BLOCK` photons, so the
-    temporaries stay cache-sized; each element sees the same operations
-    whatever the array size, so the result does not depend on the block size.
+    Every intermediate goes to rows 2-7 and the first bool row of `work`, a
+    `_workspace` at least as wide as ux, so cos_t and phi may be its first
+    two rows; phi is left holding sin(phi). Each element sees the
+    operations of the whole-array formula in their order, whatever the
+    array size, so the result does not depend on the block size.
     """
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    cos_p = np.cos(phi)
-    sin_p = np.sin(phi)
-    denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
-    nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
-    ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
-    nz = -sin_t * cos_p * denom + uz * cos_t
+    size = ux.size
+    rows, flags = work
+    sin_t, cos_p, denom, nx, ny, nz = rows[2:, :size]
+    pole = flags[0, :size]
+    # sin_t = sqrt(max(0, 1 - cos_t^2)); denom = sqrt(max(1e-24, 1 - uz^2)).
+    np.multiply(cos_t, cos_t, out=sin_t)
+    np.subtract(1.0, sin_t, out=sin_t)
+    np.maximum(0.0, sin_t, out=sin_t)
+    np.sqrt(sin_t, out=sin_t)
+    np.cos(phi, out=cos_p)
+    sin_p = np.sin(phi, out=phi)
+    np.multiply(uz, uz, out=denom)
+    np.subtract(1.0, denom, out=denom)
+    np.maximum(1e-24, denom, out=denom)
+    np.sqrt(denom, out=denom)
+    # nx = sin_t (ux uz cos_p - uy sin_p) / denom + ux cos_t, with nz as scratch.
+    np.multiply(ux, uz, out=nx)
+    nx *= cos_p
+    nx -= np.multiply(uy, sin_p, out=nz)
+    nx *= sin_t
+    nx /= denom
+    nx += np.multiply(ux, cos_t, out=nz)
+    # ny = sin_t (uy uz cos_p + ux sin_p) / denom + uy cos_t.
+    np.multiply(uy, uz, out=ny)
+    ny *= cos_p
+    ny += np.multiply(ux, sin_p, out=nz)
+    ny *= sin_t
+    ny /= denom
+    ny += np.multiply(uy, cos_t, out=nz)
+    # nz = (-sin_t) cos_p denom + uz cos_t, after which denom is scratch.
+    np.negative(sin_t, out=nz)
+    nz *= cos_p
+    nz *= denom
+    nz += np.multiply(uz, cos_t, out=denom)
     # Along the z axis the frame above is undefined; rotate about z instead.
-    pole = np.flatnonzero(np.abs(uz) > 0.999999)
-    nx[pole] = sin_t[pole] * cos_p[pole]
-    ny[pole] = sin_t[pole] * sin_p[pole]
-    nz[pole] = np.sign(uz[pole]) * cos_t[pole]
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    np.greater(np.abs(uz, out=denom), 0.999999, out=pole)
+    at = np.flatnonzero(pole)
+    if at.size:
+        nx[at] = sin_t[at] * cos_p[at]
+        ny[at] = sin_t[at] * sin_p[at]
+        nz[at] = np.sign(uz[at]) * cos_t[at]
+    # norm = (nx^2 + ny^2) + nz^2, with cos_p as scratch.
+    norm = np.multiply(nx, nx, out=denom)
+    norm += np.multiply(ny, ny, out=cos_p)
+    norm += np.multiply(nz, nz, out=cos_p)
+    np.sqrt(norm, out=norm)
     np.divide(nx, norm, out=ux)
     np.divide(ny, norm, out=uy)
     np.divide(nz, norm, out=uz)
@@ -450,9 +494,10 @@ def _add_histograms(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return total
 
 
-def _launch_directions(rng: np.random.Generator, theta_half: float, ux, uy, uz) -> None:
+def _launch_directions(rng: np.random.Generator, theta_half: float, ux, uy, uz, sines) -> None:
     """Fill (ux, uy, uz) with unit vectors uniform over the cone of half angle
-    theta_half around +z."""
+    theta_half around +z. `sines`, a row of `ROTATION_BLOCK` doubles (or of
+    as many as ux holds, if fewer), takes each block's polar-angle sines."""
     rng.random(out=uz)
     uz *= 1.0 - math.cos(theta_half)
     np.subtract(1.0, uz, out=uz)
@@ -461,9 +506,15 @@ def _launch_directions(rng: np.random.Generator, theta_half: float, ux, uy, uz) 
     for lo in range(0, uz.size, ROTATION_BLOCK):
         blk = slice(lo, lo + ROTATION_BLOCK)
         cos_l, phi_l = uz[blk], uy[blk]
-        sin_l = np.sqrt(np.maximum(0.0, 1.0 - cos_l * cos_l))
-        np.multiply(sin_l, np.cos(phi_l), out=ux[blk])
-        np.multiply(sin_l, np.sin(phi_l), out=phi_l)
+        sin_l = sines[: cos_l.size]
+        np.multiply(cos_l, cos_l, out=sin_l)
+        np.subtract(1.0, sin_l, out=sin_l)
+        np.maximum(0.0, sin_l, out=sin_l)
+        np.sqrt(sin_l, out=sin_l)
+        np.cos(phi_l, out=ux[blk])
+        ux[blk] *= sin_l
+        np.sin(phi_l, out=phi_l)
+        phi_l *= sin_l
 
 
 def _trace_batch(
@@ -488,6 +539,16 @@ def _trace_batch(
     `advance(k)` equals `random(k)`; a draw split into consecutive chunks
     of one distribution returns the same values, so the trace does not
     depend on the block size.
+
+    Every intermediate of a block (the launch sines, the distances to the
+    plane, the free paths, the crossing and roulette masks, the deposits'
+    positions, weights and arrival times, the position update and the
+    rotation) is written into one `_workspace` made once per batch, rows
+    0-2 in the step pass and rows 0-7 in the rotation. Each is formed by
+    the operations of the array expression it replaces, in their order
+    (`rng.exponential(1 / c)` as `standard_exponential() * (1 / c)`), so
+    the workspace moves no bit. Outside it a block allocates only index
+    arrays, the deposits' bins, and the roulette's deviates.
 
     The roulette draws one deviate per photon that plays it, in photon
     order, from a generator of its own: the first child of `rng`'s seed
@@ -517,19 +578,37 @@ def _trace_batch(
         nonlocal step_hist
         bux, buy, buz, bx, by, _, bw, bpath = block
         idx = np.flatnonzero(crossed)
-        s = s_plane[idx]
-        xc = bx[idx] + s * bux[idx]
-        yc = by[idx] + s * buy[idx]
-        ok = (xc * xc + yc * yc <= r_ap * r_ap) & (buz[idx] >= cos_fov)
+        s, xc, yc, scratch = rows[2:6, : idx.size]
+        ok, in_fov = flags[1:, : idx.size]
+        np.take(s_plane, idx, out=s)
+        # The crossing point bx + s ux, by + s uy, and
+        # ok = (xc^2 + yc^2 <= r_ap^2) & (uz >= cos_fov).
+        np.multiply(s, np.take(bux, idx, out=xc), out=xc)
+        xc += np.take(bx, idx, out=scratch)
+        np.multiply(s, np.take(buy, idx, out=yc), out=yc)
+        yc += np.take(by, idx, out=scratch)
+        xc *= xc
+        xc += np.multiply(yc, yc, out=yc)
+        np.less_equal(xc, r_ap * r_ap, out=ok)
+        ok &= np.greater_equal(np.take(buz, idx, out=scratch), cos_fov, out=in_fov)
         if not ok.any():
             return
         idx = idx[ok]
-        s = s[ok]
-        weights = bw[idx] * np.exp(-c * s) if ballistic else bw[idx]
-        arrival_times = (bpath[idx] + s) * n_water / SPEED_OF_LIGHT
-        bins = np.floor((arrival_times - t_start) / bin_width).astype(np.int64)
+        s = np.compress(ok, s, out=xc[: idx.size])
+        weights, arrival_times = yc[: idx.size], scratch[: idx.size]
+        np.take(bw, idx, out=weights)
+        if ballistic:
+            weights *= np.exp(np.multiply(s, -c, out=arrival_times), out=arrival_times)
+        # arrival_times = (bpath + s) n_water / SPEED_OF_LIGHT, then its bin.
+        np.take(bpath, idx, out=arrival_times)
+        arrival_times += s
+        arrival_times *= n_water
+        arrival_times /= SPEED_OF_LIGHT
+        arrival_times -= t_start
+        arrival_times /= bin_width
+        bins = np.floor(arrival_times, out=arrival_times).astype(np.int64)
         # Guard against -1 from float cancellation right at t_start.
-        bins = np.maximum(bins, 0)
+        np.maximum(bins, 0, out=bins)
         top = int(bins.max()) + 1
         if top > step_hist.size:
             step_hist = np.concatenate((step_hist, np.zeros(top - step_hist.size)))
@@ -539,7 +618,9 @@ def _trace_batch(
     # Rows: direction (ux, uy, uz), position (x, y, z), weight, path length.
     state = np.zeros((8, n))
     ux, uy, uz = state[:3]
-    _launch_directions(rng, theta_half, ux, uy, uz)
+    work = _workspace(min(n, ROTATION_BLOCK))
+    rows, flags = work
+    _launch_directions(rng, theta_half, ux, uy, uz, rows[0])
     state[6] = 1.0
 
     # Lossless water has no interactions, so its analytic first flight is
@@ -550,41 +631,55 @@ def _trace_batch(
         step_hist = np.zeros(0)
         kept = 0
         for lo in range(0, live, ROTATION_BLOCK):
-            block = state[:, lo : min(lo + ROTATION_BLOCK, live)]
+            hi = min(lo + ROTATION_BLOCK, live)
+            block = state[:, lo:hi]
             bux, buy, buz, bx, by, bz, bw, bpath = block
+            s_plane, step, scratch = rows[:3, : hi - lo]
+            crossed, players = flags[:2, : hi - lo]
+            np.subtract(d, bz, out=s_plane)
             with np.errstate(divide="ignore", invalid="ignore"):
-                s_plane = (d - bz) / buz
-            s_plane[buz <= 0.0] = np.inf
+                s_plane /= buz
+            np.copyto(s_plane, np.inf, where=np.less_equal(buz, 0.0, out=crossed))
             if analytic_flight:
                 # Never-scattered contribution integrated analytically, then the
                 # first interaction is forced to happen before the plane with
                 # the complementary weight. Unbiased; kills the exp(-c d)
                 # rare-arrival variance that dominates long hops.
-                receive(block, s_plane, np.isfinite(s_plane), ballistic=True)
+                receive(block, s_plane, np.isfinite(s_plane, out=crossed), ballistic=True)
                 if c == 0.0:
                     continue
-                p_interact = -np.expm1(-c * s_plane)
-                step = -np.log1p(-rng.random(s_plane.size) * p_interact) / c
+                # p_interact = -expm1(-c s); step = -log1p(-u p_interact) / c.
+                p_interact = np.multiply(s_plane, -c, out=scratch)
+                np.expm1(p_interact, out=p_interact)
+                np.negative(p_interact, out=p_interact)
+                np.negative(rng.random(out=step), out=step)
+                step *= p_interact
+                np.log1p(step, out=step)
+                np.negative(step, out=step)
+                step /= c
                 bw *= p_interact
-                crossed = np.zeros(s_plane.size, dtype=bool)  # the forced interaction comes first
+                crossed.fill(False)  # the forced interaction comes first
             else:
-                step = rng.exponential(1.0 / c, s_plane.size)
-                crossed = s_plane <= step
-                receive(block, s_plane, crossed, ballistic=False)
+                # rng.exponential(1 / c) is this product, to the bit.
+                rng.standard_exponential(out=step)
+                step *= 1.0 / c
+                receive(block, s_plane, np.less_equal(s_plane, step, out=crossed), ballistic=False)
 
             # Photons that hit the plane terminate there; the rest interact,
             # and those whose weight falls below the threshold play roulette.
             bw *= albedo
-            alive = ~crossed
-            players = np.flatnonzero(alive & (bw < ROULETTE_THRESHOLD))
-            if players.size:
-                won = roulette.random(players.size) < ROULETTE_CHANCE
-                bw[players[won]] /= ROULETTE_CHANCE
-                alive[players[~won]] = False
+            alive = np.logical_not(crossed, out=crossed)
+            np.less(bw, ROULETTE_THRESHOLD, out=players)
+            players &= alive
+            played = np.flatnonzero(players)
+            if played.size:
+                won = roulette.random(played.size) < ROULETTE_CHANCE
+                bw[played[won]] /= ROULETTE_CHANCE
+                alive[played[~won]] = False
             keep = np.flatnonzero(alive)
-            bx += step * bux
-            by += step * buy
-            bz += step * buz
+            bx += np.multiply(step, bux, out=scratch)
+            by += np.multiply(step, buy, out=scratch)
+            bz += np.multiply(step, buz, out=scratch)
             bpath += step
             if kept < lo or keep.size < bw.size:
                 for row, dest in zip(block, state[:, kept : kept + keep.size]):
@@ -598,10 +693,12 @@ def _trace_batch(
         cosines = copy.deepcopy(rng)
         rng.bit_generator.advance(live)
         for lo in range(0, live, ROTATION_BLOCK):
-            blk = slice(lo, min(lo + ROTATION_BLOCK, live))
-            cos_t = _henyey_greenstein_cos(water.hg_asymmetry, cosines.random(blk.stop - lo))
-            phi = rng.random(blk.stop - lo) * (2.0 * np.pi)
-            _rotate_directions(ux[blk], uy[blk], uz[blk], cos_t, phi)
+            hi = min(lo + ROTATION_BLOCK, live)
+            cos_t, phi = rows[:2, : hi - lo]
+            _henyey_greenstein_cos(water.hg_asymmetry, cosines.random(out=cos_t))
+            rng.random(out=phi)
+            phi *= 2.0 * np.pi
+            _rotate_directions(ux[lo:hi], uy[lo:hi], uz[lo:hi], cos_t, phi, work)
     return hist
 
 

@@ -508,7 +508,7 @@ def test_blocked_rotation_is_bit_identical_to_whole_array_formula(monkeypatch, s
 
     expected = rotate_whole_array(ux, uy, uz, cos_t, phi)
     rotated = ux.copy(), uy.copy(), uz.copy()
-    channel._rotate_directions(*rotated, cos_t, phi)
+    channel._rotate_directions(*rotated, cos_t, phi, channel._workspace(size))
     for want, got in zip(expected, rotated):
         assert np.array_equal(want, got)
 
