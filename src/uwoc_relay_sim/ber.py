@@ -104,10 +104,11 @@ _ERFCX_POLY_TAIL = 5.273080124862724e-17
 """The rounding error of P's constant term, added on its own: the term sets
 P(-1) = 1/2 at the foot of its binade, where its rounding would be 0.5 ulp."""
 _ERFC_BLOCK = 8192
-"""Elements per block of `_erfc`: one block's temporaries fit in cache."""
+"""Elements per block of `_erfc`. Each block writes every intermediate into
+one workspace of a few rows this long, which stays in cache."""
 
 
-def _exp_square(a, sign: float):
+def _exp_square(a, sign: float, rows, flag):
     """exp(sign a^2) for a >= 0, with a^2 formed exactly as sq + err.
 
     Rounding a^2 before `exp` would cost a relative error of about a^2 ulp
@@ -115,17 +116,30 @@ def _exp_square(a, sign: float):
     split into two 26-bit halves (Dekker, Numer. Math. 18, 1971), whose
     products are exact, and exp(sign sq) is corrected to first order in
     err. Past a = 28 every result is 0 or inf, so larger a are clipped.
+    Every intermediate goes to the four float rows `rows` and the bool row
+    `flag`, each as long as a; the result is returned in the last row.
     """
-    a = np.minimum(a, 28.0)
-    big = a * 134217729.0  # 2^27 + 1
-    high = big - (big - a)
-    low = a - high
-    sq = a * a
-    err = ((high * high - sq) + 2.0 * high * low) + low * low
-    e = np.exp(sign * sq)
-    corrected = e + e * (sign * err)
-    # Once exp(a^2) overflows, e * err is inf * 0 or -inf.
-    return np.where(np.isinf(e), e, corrected) if sign > 0.0 else corrected
+    clipped, high, low, err = rows
+    np.minimum(a, 28.0, out=clipped)
+    big = np.multiply(clipped, 134217729.0, out=low)  # 2^27 + 1
+    np.subtract(big, np.subtract(big, clipped, out=high), out=high)
+    np.subtract(clipped, high, out=low)
+    sq = np.multiply(clipped, clipped, out=clipped)
+    # err = ((high^2 - sq) + (2 high) low) + low^2
+    np.multiply(high, high, out=err)
+    err -= sq
+    high *= 2.0
+    err += np.multiply(high, low, out=high)
+    err += np.multiply(low, low, out=low)
+    e = np.exp(np.multiply(sq, sign, out=sq), out=sq)
+    # corrected = e + e (sign err)
+    err *= sign
+    err *= e
+    err += e
+    if sign > 0.0:
+        # Once exp(a^2) overflows, e * err is inf * 0 or -inf.
+        np.copyto(err, e, where=np.isinf(e, out=flag))
+    return err
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -138,34 +152,44 @@ def _erfc(x, scaled: bool = False):
     mpmath, erfc is within 4 ulp on [-6, 26.5] where the result is a
     normal float and erfcx within 2 ulp on [-3, 1e4]. erfc(inf) =
     erfcx(inf) = 0, erfc(-inf) = 2, and erfcx is inf, without a warning,
-    once exp(x^2) overflows. Works on blocks of _ERFC_BLOCK elements and
-    returns an array of x's shape (a NumPy scalar for a scalar).
+    once exp(x^2) overflows. Works on blocks of _ERFC_BLOCK elements, each
+    computed in the output and one workspace of five float rows and two
+    bool rows, and returns an array of x's shape (a NumPy scalar for a
+    scalar).
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)  # C order, so that reshape(-1) is a view
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    width = min(flat_x.size, _ERFC_BLOCK)
+    rows, flags = np.empty((5, width)), np.empty((2, width), dtype=bool)
     for lo in range(0, flat_x.size, _ERFC_BLOCK):
         xb = flat_x[lo:lo + _ERFC_BLOCK]
-        a = np.abs(xb)
+        r = flat_out[lo:lo + _ERFC_BLOCK]
+        a, t, scratch = rows[:3, : xb.size]
+        neg, overflow = flags[:, : xb.size]
+        np.abs(xb, out=a)
         # At a = inf, (a - K) / (a + K) is nan; P(1) / inf is the 0 wanted.
-        t = np.minimum(a, 1e300)
-        t = (t - _ERFCX_K) / (t + _ERFCX_K)
-        r = np.full_like(t, _ERFCX_POLY[0])
+        np.minimum(a, 1e300, out=t)
+        np.add(t, _ERFCX_K, out=scratch)
+        t -= _ERFCX_K
+        t /= scratch
+        r.fill(_ERFCX_POLY[0])
         for c in _ERFCX_POLY[1:-1]:
             r *= t
             r += c
         r *= t
         r += _ERFCX_POLY_TAIL
         r += _ERFCX_POLY[-1]
-        r /= a + 0.5
-        neg = xb < 0.0
+        r /= np.add(a, 0.5, out=scratch)
+        np.less(xb, 0.0, out=neg)
         if scaled:
             if neg.any():
-                r[neg] = 2.0 * _exp_square(a[neg], 1.0) - r[neg]
+                twice = _exp_square(a, 1.0, rows[1:, : xb.size], overflow)
+                twice *= 2.0
+                np.subtract(twice, r, out=r, where=neg)
         else:
-            r *= _exp_square(a, -1.0)
+            r *= _exp_square(a, -1.0, rows[1:, : xb.size], overflow)
             np.subtract(2.0, r, out=r, where=neg)
-        flat_out[lo:lo + _ERFC_BLOCK] = r
     return out[()]
 
 
