@@ -184,9 +184,8 @@ def _erfc(x, scaled: bool = False):
         np.less(xb, 0.0, out=neg)
         if scaled:
             if neg.any():
-                twice = _exp_square(a, 1.0, rows[1:, : xb.size], overflow)
-                twice *= 2.0
-                np.subtract(twice, r, out=r, where=neg)
+                e2 = _exp_square(a, 1.0, rows[1:, : xb.size], overflow)
+                np.subtract(np.multiply(e2, 2.0, out=e2), r, out=r, where=neg)
         else:
             r *= _exp_square(a, -1.0, rows[1:, : xb.size], overflow)
             np.subtract(2.0, r, out=r, where=neg)

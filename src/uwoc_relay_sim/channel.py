@@ -540,15 +540,13 @@ def _trace_batch(
     of one distribution returns the same values, so the trace does not
     depend on the block size.
 
-    Every intermediate of a block (the launch sines, the distances to the
-    plane, the free paths, the crossing and roulette masks, the deposits'
-    positions, weights and arrival times, the position update and the
-    rotation) is written into one `_workspace` made once per batch, rows
-    0-2 in the step pass and rows 0-7 in the rotation. Each is formed by
-    the operations of the array expression it replaces, in their order
-    (`rng.exponential(1 / c)` as `standard_exponential() * (1 / c)`), so
-    the workspace moves no bit. Outside it a block allocates only index
-    arrays, the deposits' bins, and the roulette's deviates.
+    Every intermediate of a block (launch sines, distances to the plane,
+    free paths, masks, deposits, position update, rotation) goes to one
+    `_workspace` made per batch, whose rows the passes share. Each is
+    formed by the operations of the plain array expression, in its order,
+    and a free path is `standard_exponential() * (1 / c)`, which is
+    `exponential(1 / c)` to the bit. A block otherwise allocates only index
+    arrays, bins and roulette deviates.
 
     The roulette draws one deviate per photon that plays it, in photon
     order, from a generator of its own: the first child of `rng`'s seed
