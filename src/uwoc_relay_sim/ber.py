@@ -19,12 +19,11 @@ patterns up to ISI_ENUMERATION_CAP, and beyond it the exact distribution
 of the sum convolved tap by tap on a fixed grid, so its cost and memory
 stay bounded at any channel memory.
 
-The saddle point is solved by one array solver for any number of
-(m0, m1) pairs at once: a bracketed Newton iteration on the threshold,
-with the two stationary points re-solved by bracketed Newton iterations
-at every iterate. `hop_average_ber` runs it once per hop on every
-(fading node, ISI grid point) pair; `saddle_point_ber` is its
-one-element call.
+The saddle point is solved by `saddle_point_ber`, one array solver for
+any number of (m0, m1) pairs at once: a bracketed Newton iteration on the
+threshold, with the two stationary points re-solved by bracketed Newton
+iterations at every iterate. `hop_average_ber` calls it once per hop on
+every (fading node, ISI grid point) pair.
 
 All models work in the photoelectron-count domain: the detector
 responsivity is folded into the per-bit count scale N_ph, so one number
@@ -41,7 +40,6 @@ import numpy as np
 
 from .channel import (
     DEFAULT_WAVELENGTH,
-    ISI_ENUMERATION_CAP,
     _ISI_GRID_POINTS,
     BitEnergies,
     _isi_distribution,
@@ -318,12 +316,15 @@ class HopBerInputs:
 
 @dataclass(frozen=True)
 class SaddlePointResult:
-    """Saddle-point BER together with the solved stationary points."""
+    """Saddle-point BER together with the solved stationary points.
 
-    ber: float
-    s0: float
-    s1: float
-    beta: float
+    Each field has the broadcast shape of the means it was solved for.
+    """
+
+    ber: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
+    beta: np.ndarray
 
 
 def _check_bits(b0: int, isi_bits, memory: int) -> np.ndarray:
@@ -374,29 +375,11 @@ def poisson_means(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
 
 
 class _SaddleFailure(ConvergenceError):
-    """A saddle-point element failed; `index` is its flat position in the batch."""
+    """A saddle-point element failed; `index` is its flat position in the means."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
-
-
-@dataclass(frozen=True)
-class _SaddleSolution:
-    """Elementwise saddle-point solution plus solver counts for logging.
-
-    The residuals are the worst over the batch, relative to their scales
-    and divided by the check tolerance (below 1 passes).
-    """
-
-    ber: np.ndarray
-    s0: np.ndarray
-    s1: np.ndarray
-    beta: np.ndarray
-    outer_iterations: int
-    inner_iterations: int
-    stationary_residual: float
-    threshold_residual: float
 
 
 def _quadratic_root(a, c, positive: bool):
@@ -490,28 +473,67 @@ def _tail_exponent(m, s, beta, sigma_sq: float):
     return value, slope
 
 
+def _check_means(m0: np.ndarray, m1: np.ndarray) -> None:
+    """Raise ValueError at the first element where m0 < 0 or m1 <= m0 (or either is not finite)."""
+    bad0 = ~(np.isfinite(m0) & (m0 >= 0.0))
+    bad = bad0 | ~(np.isfinite(m1) & (m1 > m0))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f" at index {tuple(int(k) for k in np.unravel_index(i, m0.shape))}" if m0.ndim else ""
+    if bad0.flat[i]:
+        raise ValueError(f"m0 must be >= 0, got {m0.flat[i]}{where}")
+    raise ValueError(f"m1 must exceed m0, got m0={m0.flat[i]}, m1={m1.flat[i]}{where}")
+
+
 # Overflow, a log of a non-positive r, or 0/0 only makes a Newton iterate
 # non-finite, which the bracket replaces by bisection; the closing residual
 # checks reject any non-finite result.
 @np.errstate(all="ignore")
-def _saddle_solve(m0, m1, sigma_sq: float) -> _SaddleSolution:
-    """Saddle-point BER for arrays of means m0 < m1 at one thermal variance.
+def saddle_point_ber(m0, m1, sigma_th_sq: float) -> SaddlePointResult:
+    """Saddle-point approximation of the photon-counting error probability.
 
-    The threshold beta solves R(beta) = log q0 + log s0 - log q1 - log(-s1)
-    = 0 in (m0, m1); R decreases in beta. Each element runs a Newton
-    iteration on beta from the Gaussian-approximation threshold, kept
-    inside its shrinking bracket by bisection, with the stationary points
-    s0 > 0 and s1 < 0 re-solved at every iterate (warm-started from the
-    previous one). An element stops on its own once its step falls below
-    _STEP_RTOL relative. The stationary and threshold residuals are then
-    checked against _RESIDUAL_TOL; the first element that fails a check
-    or the iteration cap raises `_SaddleFailure` with its flat index.
+    The decision statistic under each hypothesis is Poisson(m) plus
+    zero-mean Gaussian thermal noise of variance sigma_th_sq. For a
+    threshold beta the two tail masses q+(beta, s0) and q-(beta, s1) are
+    evaluated at the stationary points s0 > 0 (miss of the OFF tail above
+    beta) and s1 < 0 (ON mass below beta); beta itself solves the
+    stationarity of the summed exponent, making the threshold the one the
+    approximation considers optimal. Returns the averaged error
+    0.5 (q+ + q-) together with s0, s1, beta.
+
+    m0 and m1 may be arrays of any shapes that broadcast together, and
+    every element is solved on its own: a result field has the broadcast
+    shape (a NumPy scalar for scalar means), and each element equals the
+    solve of that element alone. beta solves R(beta) = log q0 + log s0 -
+    log q1 - log(-s1) = 0 in (m0, m1), where R decreases in beta. Each
+    element runs a Newton iteration on beta from the Gaussian-approximation
+    threshold, kept inside its shrinking bracket by bisection, with s0 and
+    s1 re-solved by bracketed Newton iterations at every iterate
+    (warm-started from the previous one), and stops once its step falls
+    below _STEP_RTOL relative. The iteration counts and worst residuals of
+    the call are logged at DEBUG level.
+
+    Raises
+    ------
+    ValueError
+        If m1 <= m0, m0 < 0, or sigma_th_sq <= 0; for array means the
+        message names the first such element.
+    ConvergenceError
+        If an iteration does not converge or the stationary or threshold
+        residual exceeds 1e-10 relative, at the first element that fails;
+        its `index` attribute is that element's flat position.
     """
-    m0, m1 = (np.array(a, dtype=float).ravel() for a in np.broadcast_arrays(m0, m1))
+    m0, m1 = np.broadcast_arrays(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
+    shape = m0.shape
+    _check_means(m0, m1)
+    if not (math.isfinite(sigma_th_sq) and sigma_th_sq > 0.0):
+        raise ValueError(f"sigma_th_sq must be > 0, got {sigma_th_sq}")
+    m0, m1 = m0.ravel(), m1.ravel()
     span = m1 - m0
     lo = m0 + 1e-9 * span
     hi = m1 - 1e-9 * span
-    root0, root1 = np.sqrt(m0 + sigma_sq), np.sqrt(m1 + sigma_sq)
+    root0, root1 = np.sqrt(m0 + sigma_th_sq), np.sqrt(m1 + sigma_th_sq)
     beta = np.clip(m0 + span * root0 / (root0 + root1), lo, hi)
     s0 = np.full(m0.size, np.inf)
     s1 = np.full(m0.size, np.inf)
@@ -521,27 +543,27 @@ def _saddle_solve(m0, m1, sigma_sq: float) -> _SaddleSolution:
     def evaluate(active, b):
         # -R, which increases in beta, and the Newton iterate on R.
         nonlocal inner
-        s0[active], n0, bad0 = _stationary_points(m0[active], b, sigma_sq, s0[active], True)
-        s1[active], n1, bad1 = _stationary_points(m1[active], b, sigma_sq, s1[active], False)
+        s0[active], n0, bad0 = _stationary_points(m0[active], b, sigma_th_sq, s0[active], True)
+        s1[active], n1, bad1 = _stationary_points(m1[active], b, sigma_th_sq, s1[active], False)
         inner = max(inner, n0, n1)
         unconverged[active] |= bad0 | bad1
-        v0, d0 = _tail_exponent(m0[active], s0[active], b, sigma_sq)
-        v1, d1 = _tail_exponent(m1[active], s1[active], b, sigma_sq)
+        v0, d0 = _tail_exponent(m0[active], s0[active], b, sigma_th_sq)
+        v1, d1 = _tail_exponent(m1[active], s1[active], b, sigma_th_sq)
         return v1 - v0, b - (v0 - v1) / (d0 - d1)
 
     beta, outer, stalled = _bracketed_newton(beta, lo, hi, evaluate, np.arange(m0.size))
     unconverged |= stalled
 
-    s0, n0, bad0 = _stationary_points(m0, beta, sigma_sq, s0, True)
-    s1, n1, bad1 = _stationary_points(m1, beta, sigma_sq, s1, False)
+    s0, n0, bad0 = _stationary_points(m0, beta, sigma_th_sq, s0, True)
+    s1, n1, bad1 = _stationary_points(m1, beta, sigma_th_sq, s1, False)
     unconverged |= bad0 | bad1
-    v0, _ = _tail_exponent(m0, s0, beta, sigma_sq)
-    v1, _ = _tail_exponent(m1, s1, beta, sigma_sq)
+    v0, _ = _tail_exponent(m0, s0, beta, sigma_th_sq)
+    v1, _ = _tail_exponent(m1, s1, beta, sigma_th_sq)
 
     def stationary_residual(m, s):
         e = m * np.exp(np.minimum(s, 709.0))
-        scale = np.maximum.reduce([e, sigma_sq * np.abs(s), np.abs(beta), 1.0 / np.abs(s)])
-        return np.abs(e + sigma_sq * s - beta - 1.0 / s) / scale
+        scale = np.maximum.reduce([e, sigma_th_sq * np.abs(s), np.abs(beta), 1.0 / np.abs(s)])
+        return np.abs(e + sigma_th_sq * s - beta - 1.0 / s) / scale
 
     res0 = stationary_residual(m0, s0)
     res1 = stationary_residual(m1, s1)
@@ -569,52 +591,14 @@ def _saddle_solve(m0, m1, sigma_sq: float) -> _SaddleSolution:
         raise _SaddleFailure(message, i)
 
     ber = 0.5 * (np.exp(v0 - np.log(s0)) + np.exp(v1 - np.log(-s1)))
-    return _SaddleSolution(
-        ber=np.clip(ber, 0.0, 0.5),
-        s0=s0,
-        s1=s1,
-        beta=beta,
-        outer_iterations=outer,
-        inner_iterations=max(inner, n0, n1),
-        stationary_residual=max(res0.max(), res1.max()) / _RESIDUAL_TOL,
-        threshold_residual=res_t.max() / _RESIDUAL_TOL,
+    logger.debug(
+        "saddle point: %d elements, at most %d outer and %d inner iterations, "
+        "worst residual / tolerance: stationary %.3g, threshold %.3g",
+        m0.size, outer, max(inner, n0, n1),
+        max(res0.max(), res1.max()) / _RESIDUAL_TOL, res_t.max() / _RESIDUAL_TOL,
     )
-
-
-def saddle_point_ber(m0: float, m1: float, sigma_th_sq: float) -> SaddlePointResult:
-    """Saddle-point approximation of the photon-counting error probability.
-
-    The decision statistic under each hypothesis is Poisson(m) plus
-    zero-mean Gaussian thermal noise of variance sigma_th_sq. For a
-    threshold beta the two tail masses q+(beta, s0) and q-(beta, s1) are
-    evaluated at the stationary points s0 > 0 (miss of the OFF tail above
-    beta) and s1 < 0 (ON mass below beta); beta itself solves the
-    stationarity of the summed exponent, making the threshold the one the
-    approximation considers optimal. Returns the averaged error
-    0.5 (q+ + q-) together with s0, s1, beta.
-
-    This is a one-element call of the array solver that
-    `hop_average_ber` runs on a whole hop at once: a bracketed Newton
-    iteration on beta from the Gaussian-approximation threshold, with
-    s0 and s1 re-solved by bracketed Newton iterations at each iterate.
-
-    Raises
-    ------
-    ValueError
-        If m1 <= m0, m0 < 0, or sigma_th_sq <= 0.
-    ConvergenceError
-        If an iteration does not converge or the stationary or threshold
-        residual exceeds 1e-10 relative.
-    """
-    if not (math.isfinite(m0) and m0 >= 0.0):
-        raise ValueError(f"m0 must be >= 0, got {m0}")
-    if not (math.isfinite(m1) and m1 > m0):
-        raise ValueError(f"m1 must exceed m0, got m0={m0}, m1={m1}")
-    if not (math.isfinite(sigma_th_sq) and sigma_th_sq > 0.0):
-        raise ValueError(f"sigma_th_sq must be > 0, got {sigma_th_sq}")
-    sol = _saddle_solve(m0, m1, sigma_th_sq)
     return SaddlePointResult(
-        ber=float(sol.ber[0]), s0=float(sol.s0[0]), s1=float(sol.s1[0]), beta=float(sol.beta[0])
+        *(a.reshape(shape)[()] for a in (np.clip(ber, 0.0, 0.5), s0, s1, beta))
     )
 
 
@@ -804,7 +788,9 @@ def hop_average_ber(
     Raises
     ------
     ValueError
-        On an unknown method or an invalid quadrature order.
+        On an unknown method or an invalid quadrature order, or for
+        "saddle_point" when rounding loses the signal count against the
+        noise count (m1 == m0, see `saddle_point_ber`).
     ConvergenceError
         If the saddle-point solver fails; the message names the
         quadrature node.
@@ -856,20 +842,13 @@ def hop_average_ber(
         m0 = noise.n_bd + np.outer(h_nodes, grid)
         m1 = m0 + (h_nodes * gamma_s)[:, None]
         try:
-            sol = _saddle_solve(m0, m1, noise.sigma_th_sq)
+            ber = saddle_point_ber(m0, m1, noise.sigma_th_sq).ber
         except _SaddleFailure as exc:
             node = exc.index // grid.size
             raise ConvergenceError(
                 f"saddle-point average failed at quadrature node {node} "
                 f"(h={h_nodes[node]:.6g}): {exc}"
             ) from exc
-        logger.debug(
-            "saddle point: %d elements, at most %d outer and %d inner iterations, "
-            "worst residual / tolerance: stationary %.3g, threshold %.3g",
-            m0.size, sol.outer_iterations, sol.inner_iterations,
-            sol.stationary_residual, sol.threshold_residual,
-        )
-        ber = sol.ber.reshape(m0.shape)
         if grid.size == 1:
             # Every ISI value is 0, the one grid point.
             def conditional(isi_counts):
@@ -882,7 +861,7 @@ def hop_average_ber(
                 return np.exp(log_ber(isi_counts))
 
     avg = float(node_weights @ (conditional(counts) @ weights))
-    if energies.memory > ISI_ENUMERATION_CAP and logger.isEnabledFor(logging.DEBUG):
+    if energies.isi_average == "convolved" and logger.isEnabledFor(logging.DEBUG):
         # The grid error is second order in the step, so doubling the
         # step moves the average by about three times the error.
         coarse_values, coarse_weights = _isi_distribution(

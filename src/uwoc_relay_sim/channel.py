@@ -385,6 +385,15 @@ class BitEnergies:
         """e_signal plus all ISI leakage."""
         return float(self.e_signal + self.e_isi.sum())
 
+    @property
+    def isi_average(self) -> str:
+        """How `isi_distribution` averages the patterns: "enumerated" or "convolved".
+
+        Every 2^L pattern is listed up to ISI_ENUMERATION_CAP; beyond it the
+        distribution of the ISI sum is convolved on a grid (see `_isi_distribution`).
+        """
+        return "enumerated" if self.memory <= ISI_ENUMERATION_CAP else "convolved"
+
     @cached_property
     def isi_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Values of the ISI energy over equiprobable bit patterns, and their probabilities.

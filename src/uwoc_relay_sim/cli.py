@@ -39,7 +39,6 @@ from .channel import (
     DEFAULT_HG_ASYMMETRY,
     DEFAULT_REFRACTIVE_INDEX,
     DEFAULT_TAIL_EPSILON,
-    ISI_ENUMERATION_CAP,
     WATER_PRESETS,
     ImpulseResponse,
     LinkGeometry,
@@ -665,7 +664,6 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
         }
         hop_energies = [energies[d] for d in cfg.hop_lengths_m]
         noise = cfg.noise_model(bit_duration)
-        memories = [e.memory for e in hop_energies]
 
         for method in cfg.methods:
             xs, ys, lows, highs = [], [], [], []
@@ -704,10 +702,8 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
             metadata = dict(base_metadata)
             metadata.update(
                 data_rate_bps=rate,
-                memory_per_hop=[int(m) for m in memories],
-                isi_average_per_hop=[
-                    "convolved" if m > ISI_ENUMERATION_CAP else "enumerated" for m in memories
-                ],
+                memory_per_hop=[e.memory for e in hop_energies],
+                isi_average_per_hop=[e.isi_average for e in hop_energies],
                 failed_points=failed,
                 clamped_points_dbm=clamped,
             )

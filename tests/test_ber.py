@@ -93,6 +93,14 @@ def test_photons_per_bit_from_power():
             dataclasses.replace(hop, photons_per_bit=bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.inf, math.nan])
+def test_photons_per_bit_rejects_a_bad_duration_or_wavelength(bad):
+    with pytest.raises(ValueError, match=r"^bit_duration must be > 0, got"):
+        u.photons_per_bit(1e-3, bad)
+    with pytest.raises(ValueError, match=r"^wavelength must be > 0, got"):
+        u.photons_per_bit(1e-3, 1e-9, wavelength=bad)
+
+
 def test_hop_ber_inputs_type_checks():
     hop = synthetic_hop(17.0)
     assert hop.energies.memory == 0
@@ -100,6 +108,12 @@ def test_hop_ber_inputs_type_checks():
         dataclasses.replace(hop, energies=None)
     with pytest.raises(TypeError, match="fading"):
         dataclasses.replace(hop, fading=0.05)
+
+
+def test_hop_ber_inputs_rejects_a_noise_of_another_type():
+    hop = synthetic_hop(17.0)
+    with pytest.raises(TypeError, match=r"^noise must be NoiseModel, got float$"):
+        dataclasses.replace(hop, noise=hop.noise.sigma_th_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +185,12 @@ def test_poisson_means_hand_values():
     m1 = u.poisson_means(1, [1, 0], 1.0, hop) - n_bd
     m3 = u.poisson_means(1, [1, 0], 3.0, hop) - n_bd
     assert m3 == pytest.approx(3.0 * m1, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+def test_poisson_means_rejects_a_nonpositive_h(h):
+    with pytest.raises(ValueError, match=r"^h must be > 0, got"):
+        u.poisson_means(1, [0, 0], h, synthetic_hop(20.0, e_isi=[8e-6, 4e-6]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +363,12 @@ def brentq_saddle_oracle(m0: float, m1: float, sigma_sq: float) -> tuple[float, 
 
 def assert_solver_matches_oracle(m0, m1, sigma_sq: float) -> None:
     m0, m1 = np.broadcast_arrays(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
-    sol = ber_module._saddle_solve(m0, m1, sigma_sq)
+    sol = u.saddle_point_ber(m0, m1, sigma_sq)
     oracle = np.array(
         [brentq_saddle_oracle(a, b, sigma_sq) for a, b in zip(m0.ravel(), m1.ravel())]
     )
-    assert sol.ber == pytest.approx(oracle[:, 0], rel=1e-12, abs=0.0)
-    assert sol.beta == pytest.approx(oracle[:, 1], rel=1e-12, abs=0.0)
+    assert sol.ber.ravel() == pytest.approx(oracle[:, 0], rel=1e-12, abs=0.0)
+    assert sol.beta.ravel() == pytest.approx(oracle[:, 1], rel=1e-12, abs=0.0)
 
 
 LARGE_COUNT = (585.1243452584741, 12130310.075963056, 156051034.83317512)
@@ -415,6 +435,106 @@ def test_saddle_point_validation():
         u.saddle_point_ber(1.0, 10.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        ((2.0, 20.0, 1.0),
+         (0.0017283424121710563, 1.3187807407632306, -0.9298127566178699, 8.03822449274331)),
+        ((0.0, 25.0, 1e-6),
+         (7.529666385056086e-12, 7348.989144306013, -136.07313609587212, 0.007212916008210173)),
+    ],
+)
+def test_saddle_point_scalar_means_give_numpy_scalars(args, expected):
+    # Bit-exact: the values these one-element solves have always given.
+    r = u.saddle_point_ber(*args)
+    got = (r.ber, r.s0, r.s1, r.beta)
+    assert all(type(v) is np.float64 for v in got)
+    assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+
+def saddle_means(shape, seed=5):
+    """Means like a hop's grid: m0 from the noise floor up, m1 a signal above."""
+    rng = np.random.default_rng(seed)
+    m0 = 7.8 + rng.uniform(0.0, 50.0, shape)
+    return m0, m0 + 10.0 ** rng.uniform(1.0, 3.5, shape)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (30, 65)])
+def test_saddle_point_arrays_are_elementwise(shape):
+    m0, m1 = saddle_means(shape)
+    r = u.saddle_point_ber(m0, m1, 3e3)
+    fields = (r.ber, r.s0, r.s1, r.beta)
+    assert all(f.shape == shape for f in fields)
+    for i in np.ndindex(*shape):
+        one = u.saddle_point_ber(m0[i], m1[i], 3e3)
+        assert [f[i].tobytes() for f in fields] == [
+            np.float64(v).tobytes() for v in (one.ber, one.s0, one.s1, one.beta)
+        ]
+
+
+def test_saddle_point_broadcasts_the_means():
+    m1 = np.array([[20.0], [40.0]])
+    r = u.saddle_point_ber(2.0, m1, 1.0)
+    assert r.ber.shape == (2, 1)
+    assert r.ber[0, 0] == u.saddle_point_ber(2.0, 20.0, 1.0).ber
+
+
+@pytest.mark.parametrize(
+    "where,m0,m1,message",
+    [
+        ((4,), 5.0, 5.0, r"^m1 must exceed m0, got m0=5.0, m1=5.0 at index \(4,\)$"),
+        ((2, 3), 6.0, 1.0, r"^m1 must exceed m0, got m0=6.0, m1=1.0 at index \(2, 3\)$"),
+        ((1, 0), -0.5, 9.0, r"^m0 must be >= 0, got -0.5 at index \(1, 0\)$"),
+        ((0, 5), math.nan, 9.0, r"^m0 must be >= 0, got nan at index \(0, 5\)$"),
+    ],
+)
+def test_saddle_point_array_validation_names_the_element(where, m0, m1, message):
+    shape = (7,) if len(where) == 1 else (3, 6)
+    means = saddle_means(shape)
+    means[0][where], means[1][where] = m0, m1
+    with pytest.raises(ValueError, match=message):
+        u.saddle_point_ber(*means, 3e3)
+
+
+def test_saddle_point_failure_index_is_the_flat_position():
+    # (1.7e-4, 0.263) at sigma^2 = 3.5e-3 fails the threshold check, a
+    # known weakness of the tail prefactor near s = 0; (0, 25) solves.
+    m0 = np.zeros((3, 4))
+    m1 = np.full((3, 4), 25.0)
+    m0[1, 2], m1[1, 2] = 1.7e-4, 0.263
+    threshold = "^saddle-point threshold equation residual too large$"
+    with pytest.raises(ConvergenceError, match=threshold) as exc:
+        u.saddle_point_ber(m0, m1, 3.5e-3)
+    assert exc.value.index == 6
+    with pytest.raises(ConvergenceError) as exc:
+        u.saddle_point_ber(1.7e-4, 0.263, 3.5e-3)
+    assert exc.value.index == 0
+
+
+def test_saddle_point_stationary_failure_names_the_on_mean(monkeypatch):
+    # Perturb every s1 the solver finds: beta still converges, s0 still
+    # passes, and the m1 stationary check is the first to fail.
+    solve = ber_module._stationary_points
+
+    def perturbed(m, beta, sigma_sq, start, positive):
+        s, iterations, unconverged = solve(m, beta, sigma_sq, start, positive)
+        return (s if positive else s * (1.0 + 1e-6)), iterations, unconverged
+
+    monkeypatch.setattr(ber_module, "_stationary_points", perturbed)
+    message = r"^saddle-point stationary equation residual too large at m=20.0, s=-0.9"
+    with pytest.raises(ConvergenceError, match=message):
+        u.saddle_point_ber(2.0, 20.0, 1.0)
+
+
+def test_saddle_point_logs_one_line_per_call(caplog):
+    m0, m1 = saddle_means((30, 65))
+    with caplog.at_level(logging.DEBUG, logger="uwoc_relay_sim.ber"):
+        u.saddle_point_ber(m0, m1, 3e3)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 1
+    assert lines[0].startswith("saddle point: 1950 elements, at most ")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian approximation
 # ---------------------------------------------------------------------------
@@ -435,6 +555,12 @@ def test_gaussian_ber_edges_and_validation():
         u.gaussian_ber(10.0, 5.0, 1.0)
     with pytest.raises(ValueError, match="sigma_th_sq"):
         u.gaussian_ber(1.0, 10.0, -1.0)
+
+
+@pytest.mark.parametrize("m0", [-1.0, math.inf, math.nan])
+def test_gaussian_ber_rejects_a_negative_m0(m0):
+    with pytest.raises(ValueError, match=r"^m0 must be >= 0, got"):
+        u.gaussian_ber(m0, 10.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +593,24 @@ def test_hop_average_zero_isi_energies_match_memoryless():
         assert u.hop_average_ber(padded, method) == pytest.approx(
             u.hop_average_ber(base, method), rel=1e-12
         )
+
+
+def test_hop_average_zero_taps_past_the_cap_average_like_no_memory():
+    # Past ISI_ENUMERATION_CAP, taps that are all zero give the one-point
+    # distribution at 0, so the average is the memoryless one to the bit.
+    base = synthetic_hop(18.0)
+    padded = synthetic_hop(18.0, e_isi=np.zeros(u.ISI_ENUMERATION_CAP + 1))
+    assert padded.energies.isi_average == "convolved"
+    values, probabilities = padded.energies.isi_distribution
+    assert (values.tolist(), probabilities.tolist()) == ([0.0], [1.0])
+    for method in u.BER_METHODS:
+        assert u.hop_average_ber(padded, method).hex() == u.hop_average_ber(base, method).hex()
+
+
+def test_fading_mode_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(ber_module, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match=r"^fading-average mode did not converge in 1 "):
+        u.hop_average_ber(synthetic_hop(18.0), "awgn_ghqf")
 
 
 def brentq_mode_oracle(hop: u.HopBerInputs, method: str) -> tuple[float, float]:
@@ -837,7 +981,7 @@ def enumerated_hop_oracle(hop: u.HopBerInputs, method: str) -> float:
     if method == "saddle_point":
         grid = np.linspace(0.0, counts.max(), 65)
         m0 = noise.n_bd + np.outer(h_nodes, grid)
-        sol = ber_module._saddle_solve(m0, m0 + (h_nodes * gamma_s)[:, None], noise.sigma_th_sq)
+        sol = u.saddle_point_ber(m0, m0 + (h_nodes * gamma_s)[:, None], noise.sigma_th_sq)
         log_ber = np.log(sol.ber.reshape(m0.shape))
     total = 0.0
     for i, (h, w) in enumerate(zip(h_nodes, weights)):

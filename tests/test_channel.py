@@ -169,11 +169,37 @@ def test_impulse_response_csv_errors():
     assert u.ImpulseResponse.from_csv(typed).bin_width == 1e-10
 
 
+def test_impulse_response_csv_needs_a_row():
+    for text in ("bin_start_s,energy_fraction\n", "bin_start_s,energy_fraction\n\n"):
+        with pytest.raises(ValueError, match="^impulse response CSV has no bins$"):
+            u.ImpulseResponse.from_csv(text, bin_width=1e-10)
+
+
 def test_bit_energies_validation():
     be = u.BitEnergies(e_signal=1.7e-4, e_isi=np.array([8e-6, 4e-6]))
     assert be.total == pytest.approx(1.7e-4 + 1.2e-5)
     with pytest.raises(ValueError, match="e_signal"):
         u.BitEnergies(e_signal=-1.0, e_isi=np.array([]))
+
+
+@pytest.mark.parametrize(
+    "e_isi", [np.zeros((2, 2)), np.array([1e-6, -1e-9]), np.array([np.inf]), np.array([np.nan])]
+)
+def test_bit_energies_reject_isi_that_is_not_1d_finite_and_nonnegative(e_isi):
+    with pytest.raises(ValueError, match="^e_isi must be a 1-d array of finite entries >= 0$"):
+        u.BitEnergies(e_signal=1.7e-4, e_isi=e_isi)
+
+
+@pytest.mark.parametrize(
+    "memory,rule", [(0, "enumerated"), (u.ISI_ENUMERATION_CAP, "enumerated"),
+                    (u.ISI_ENUMERATION_CAP + 1, "convolved")]
+)
+def test_bit_energies_name_their_isi_average(memory, rule):
+    be = u.BitEnergies(e_signal=1.7e-4, e_isi=np.full(memory, 1e-6))
+    assert be.isi_average == rule
+    values, _ = be.isi_distribution
+    # Enumeration lists all 2^L patterns; the grid has far fewer points.
+    assert (values.size == 2**memory) == (rule == "enumerated")
 
 
 def test_bit_energies_cache_their_isi_distribution_read_only():

@@ -466,6 +466,30 @@ def test_emit_validation(tiny_curves, tmp_path):
         emit_curves([], "csv", tmp_path)
 
 
+BER_CURVE_FIELDS = {
+    "method": "gaussian", "x": (0.0, 1.0), "y": (0.1, 0.01),
+    "ci_low": None, "ci_high": None, "metadata": {},
+}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"y": (0.1,)}, "^x and y must have equal length$"),
+        ({"x": (1.0, 1.0)}, "^x must be strictly increasing$"),
+        ({"y": (0.1, 0.6)}, r"^y values must lie in \[0, 0.5\]$"),
+        ({"y": (0.1, 1.2), "ci_low": (0.0, 0.0), "ci_high": (1.0, 1.0)},
+         r"^y values must lie in \[0, 1.0\]$"),
+        ({"ci_low": (0.0, 0.0)}, "^ci_low and ci_high must be given together$"),
+        ({"ci_low": (0.0,), "ci_high": (1.0,)}, "^ci bounds must match x in length$"),
+    ],
+)
+def test_ber_curve_validation(change, message):
+    assert cli.BerCurve(**BER_CURVE_FIELDS).y == (0.1, 0.01)
+    with pytest.raises(ValueError, match=message):
+        cli.BerCurve(**{**BER_CURVE_FIELDS, **change})
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point
 # ---------------------------------------------------------------------------

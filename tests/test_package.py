@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import re
 import types
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import uwoc_relay_sim as u
-from uwoc_relay_sim import ber, channel, errors, relay, simulate, turbulence
+from uwoc_relay_sim import ber, channel, cli, errors, relay, simulate, turbulence
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = (ber, channel, errors, relay, simulate, turbulence)
@@ -129,3 +130,40 @@ def test_benchmark_trace_points_resolve():
     for module_name, attr, *_ in tracing.TRACE_POINTS:
         module = importlib.import_module(f"uwoc_relay_sim.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_a_sweep_reaches_every_benchmark_trace_point(tmp_path, monkeypatch):
+    # A point that resolves but that no program path calls reads 0 too.
+    # One sweep with every method and the turbulence spectrum must pass
+    # through each of them. The source is executed as in the test above.
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    calls = {}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module_name, attr, *_ in tracing.TRACE_POINTS:
+        module = importlib.import_module(f"uwoc_relay_sim.{module_name}")
+        key = f"{module_name}.{attr}"
+        calls[key] = 0
+        monkeypatch.setattr(module, attr, counting(key, getattr(module, attr)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "water": {"preset": "coastal"},
+        "hops": {"lengths_m": [9.0]},
+        "data_rates_bps": [1e9],
+        "power_sweep_dbm": {"start": 10.0, "stop": 20.0, "step": 10.0},
+        "methods": ["awgn_ghqf", "saddle_point", "gaussian", "montecarlo"],
+        "mc": {"n_photons": 20_000, "n_bits": 2_000, "seed": 7},
+    }))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--format", "json", "--threads", "1", "--seed", "1"]
+    assert cli.main(argv) == 0
+    assert cli.load_config(config).sigma_x_sq is None  # the spectrum route
+    assert [key for key, n in calls.items() if n == 0] == []

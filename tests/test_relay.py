@@ -216,6 +216,21 @@ def test_relay_chain_validation():
         u.RelayChain.assemble([hop.energies], [], hop.noise, 1e-3)
 
 
+@pytest.mark.parametrize("shares", [(math.nan, 1.0), (math.inf, 0.0), (1.5, -0.5)])
+def test_relay_chain_assemble_rejects_a_bad_share(shares):
+    hop = synthetic_hop(18.0)
+    with pytest.raises(ValueError, match="^power shares must be finite and >= 0$"):
+        u.RelayChain.assemble([hop.energies] * 2, [hop.fading] * 2, hop.noise, 1e-3,
+                              power_shares=shares)
+
+
+@pytest.mark.parametrize("power", [-1e-3, math.inf, math.nan])
+def test_relay_chain_assemble_rejects_a_bad_total_power(power):
+    hop = synthetic_hop(18.0)
+    with pytest.raises(ValueError, match="^total_power_per_bit must be >= 0, got"):
+        u.RelayChain.assemble([hop.energies], [hop.fading], hop.noise, power)
+
+
 def test_chain_average_single_hop_exact_equals_upper():
     hop = synthetic_hop(18.0)
     chain = u.RelayChain(hops=(hop,))
