@@ -38,14 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_WAVELENGTH,
-    _ISI_GRID_POINTS,
-    BitEnergies,
-    _isi_distribution,
-)
+from .channel import DEFAULT_WAVELENGTH, BitEnergies
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
-from .errors import ConvergenceError
+from .errors import ConvergenceError, bound_violation, check_bound
 from .turbulence import FadingModel, ghq_rule
 
 logger = logging.getLogger(__name__)
@@ -211,17 +206,13 @@ class NoiseModel:
     bit_duration: float
 
     def __post_init__(self) -> None:
-        bad = []
-        if not (math.isfinite(self.background_rate) and self.background_rate >= 0.0):
-            bad.append(f"background_rate must be >= 0, got {self.background_rate}")
-        if not (math.isfinite(self.dark_rate) and self.dark_rate >= 0.0):
-            bad.append(f"dark_rate must be >= 0, got {self.dark_rate}")
-        if not (math.isfinite(self.receiver_temperature) and self.receiver_temperature > 0.0):
-            bad.append(f"receiver_temperature must be > 0, got {self.receiver_temperature}")
-        if not (math.isfinite(self.load_resistance) and self.load_resistance > 0.0):
-            bad.append(f"load_resistance must be > 0, got {self.load_resistance}")
-        if not (math.isfinite(self.bit_duration) and self.bit_duration > 0.0):
-            bad.append(f"bit_duration must be > 0, got {self.bit_duration}")
+        bad = [
+            f"{name} {problem}"
+            for name, op in (("background_rate", ">="), ("dark_rate", ">="),
+                             ("receiver_temperature", ">"), ("load_resistance", ">"),
+                             ("bit_duration", ">"))
+            if (problem := bound_violation(getattr(self, name), ((op, 0),))) is not None
+        ]
         if bad:
             raise ValueError("; ".join(bad))
 
@@ -240,6 +231,11 @@ class NoiseModel:
     def n_bd(self) -> float:
         """Mean background-plus-dark photoelectron count per bit."""
         return (self.background_rate + self.dark_rate) * self.bit_duration
+
+    @property
+    def sigma_tb(self) -> float:
+        """Standard deviation of the signal-independent count per bit: sqrt(sigma_th^2 + n_bd)."""
+        return math.sqrt(self.sigma_th_sq + self.n_bd)
 
     @classmethod
     def typical(
@@ -279,14 +275,11 @@ def photons_per_bit(
     fraction it gives that slot's Poisson mean, so responsivity never
     appears elsewhere.
     """
-    if not (math.isfinite(power) and power >= 0.0):
-        raise ValueError(f"power must be >= 0, got {power}")
-    if not (math.isfinite(bit_duration) and bit_duration > 0.0):
-        raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
+    check_bound("power", power, ">=", 0)
+    check_bound("bit_duration", bit_duration, ">", 0)
     if not (0.0 < quantum_efficiency <= 1.0):
         raise ValueError(f"quantum_efficiency must be in (0, 1], got {quantum_efficiency}")
-    if not (math.isfinite(wavelength) and wavelength > 0.0):
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    check_bound("wavelength", wavelength, ">", 0)
     photon_energy = PLANCK * SPEED_OF_LIGHT / wavelength
     return quantum_efficiency * power * bit_duration / photon_energy
 
@@ -310,8 +303,7 @@ class HopBerInputs:
             raise TypeError(f"fading must be FadingModel, got {type(self.fading).__name__}")
         if not isinstance(self.noise, NoiseModel):
             raise TypeError(f"noise must be NoiseModel, got {type(self.noise).__name__}")
-        if not (math.isfinite(self.photons_per_bit) and self.photons_per_bit >= 0.0):
-            raise ValueError(f"photons_per_bit must be >= 0, got {self.photons_per_bit}")
+        check_bound("photons_per_bit", self.photons_per_bit, ">=", 0)
 
 
 @dataclass(frozen=True)
@@ -349,14 +341,12 @@ def conditional_ber_awgn(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> f
     so it helps a transmitted one and hurts a transmitted zero.
     """
     bits = _check_bits(b0, isi_bits, inputs.energies.memory)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be > 0, got {h}")
+    check_bound("h", h, ">", 0)
     n_ph = inputs.photons_per_bit
     gamma_s = n_ph * inputs.energies.e_signal
     gamma_isi = n_ph * float(bits @ inputs.energies.e_isi) if bits.size else 0.0
-    sigma_tb = math.sqrt(inputs.noise.sigma_th_sq + inputs.noise.n_bd)
     sign = 1.0 if b0 == 1 else -1.0
-    return float(_q(h * (gamma_s + sign * 2.0 * gamma_isi) / (2.0 * sigma_tb)))
+    return float(_q(h * (gamma_s + sign * 2.0 * gamma_isi) / (2.0 * inputs.noise.sigma_tb)))
 
 
 def poisson_means(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
@@ -365,8 +355,7 @@ def poisson_means(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
     m = h N_ph (b0 e_signal + sum_k b_k e_isi[k]) + n_bd.
     """
     bits = _check_bits(b0, isi_bits, inputs.energies.memory)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be > 0, got {h}")
+    check_bound("h", h, ">", 0)
     n_ph = inputs.photons_per_bit
     signal = b0 * inputs.energies.e_signal
     if bits.size:
@@ -527,8 +516,7 @@ def saddle_point_ber(m0, m1, sigma_th_sq: float) -> SaddlePointResult:
     m0, m1 = np.broadcast_arrays(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
     shape = m0.shape
     _check_means(m0, m1)
-    if not (math.isfinite(sigma_th_sq) and sigma_th_sq > 0.0):
-        raise ValueError(f"sigma_th_sq must be > 0, got {sigma_th_sq}")
+    check_bound("sigma_th_sq", sigma_th_sq, ">", 0)
     m0, m1 = m0.ravel(), m1.ravel()
     span = m1 - m0
     lo = m0 + 1e-9 * span
@@ -616,12 +604,10 @@ def gaussian_ber(m0: float, m1: float, sigma_th_sq: float) -> float:
     thermal variance; the threshold where the two error probabilities
     match gives BER = Q((m1 - m0) / (sqrt(m1 + sigma^2) + sqrt(m0 + sigma^2))).
     """
-    if not (math.isfinite(m0) and m0 >= 0.0):
-        raise ValueError(f"m0 must be >= 0, got {m0}")
+    check_bound("m0", m0, ">=", 0)
     if not (math.isfinite(m1) and m1 >= m0):
         raise ValueError(f"m1 must be >= m0, got m0={m0}, m1={m1}")
-    if not (math.isfinite(sigma_th_sq) and sigma_th_sq >= 0.0):
-        raise ValueError(f"sigma_th_sq must be >= 0, got {sigma_th_sq}")
+    check_bound("sigma_th_sq", sigma_th_sq, ">=", 0)
     if m1 == m0:
         return 0.5
     return float(_gaussian_ber_array(m0, m1, sigma_th_sq))
@@ -659,7 +645,7 @@ def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):
     # margin(h) returns the Q argument v of the ISI-free conditional BER
     # and its first two derivatives in log h.
     if method == "awgn_ghqf":
-        gain = gamma_s / (2.0 * math.sqrt(noise.sigma_th_sq + noise.n_bd))
+        gain = gamma_s / (2.0 * noise.sigma_tb)
 
         def margin(h):
             v = gain * h
@@ -788,12 +774,11 @@ def hop_average_ber(
     Raises
     ------
     ValueError
-        On an unknown method or an invalid quadrature order, or for
-        "saddle_point" when rounding loses the signal count against the
-        noise count (m1 == m0, see `saddle_point_ber`).
+        On an unknown method or an invalid quadrature order.
     ConvergenceError
-        If the saddle-point solver fails; the message names the
-        quadrature node.
+        If the saddle-point solver fails, or rounding loses the signal
+        count against the noise count (m1 == m0) at some node; the
+        message names the quadrature node.
     """
     if method not in BER_METHODS:
         known = ", ".join(BER_METHODS)
@@ -814,7 +799,7 @@ def hop_average_ber(
     # conditional(isi_counts) is the method's BER at every (fading node,
     # ISI count) pair; the average weights it by node and ISI probability.
     if method == "awgn_ghqf":
-        sigma_tb = math.sqrt(noise.sigma_th_sq + noise.n_bd)
+        sigma_tb = noise.sigma_tb
         base = h_nodes[:, None] * gamma_s
 
         def conditional(isi_counts):
@@ -841,7 +826,12 @@ def hop_average_ber(
         grid = np.linspace(0.0, s_max, _SADDLE_GRID_POINTS) if s_max > 0.0 else np.zeros(1)
         m0 = noise.n_bd + np.outer(h_nodes, grid)
         m1 = m0 + (h_nodes * gamma_s)[:, None]
+        lost = np.flatnonzero(m1 == m0)
         try:
+            if lost.size:
+                # Fail here, not in saddle_point_ber's check, to name the node.
+                i = lost[0]
+                raise _SaddleFailure(f"the signal count rounds away against m0={m0.flat[i]}", i)
             ber = saddle_point_ber(m0, m1, noise.sigma_th_sq).ber
         except _SaddleFailure as exc:
             node = exc.index // grid.size
@@ -864,15 +854,13 @@ def hop_average_ber(
     if energies.isi_average == "convolved" and logger.isEnabledFor(logging.DEBUG):
         # The grid error is second order in the step, so doubling the
         # step moves the average by about three times the error.
-        coarse_values, coarse_weights = _isi_distribution(
-            energies.e_isi, _ISI_GRID_POINTS // 2
-        )
+        grid_points, coarse_values, coarse_weights = energies.coarse_isi_distribution()
         coarse_counts = inputs.photons_per_bit * coarse_values
         coarse = float(node_weights @ (conditional(coarse_counts) @ coarse_weights))
         logger.debug(
             "ISI average (%s): L=%d convolved on %d grid points (%d of nonzero "
             "probability); halving the grid changes it by %.3g relative",
-            method, energies.memory, _ISI_GRID_POINTS, values.size,
+            method, energies.memory, grid_points, values.size,
             abs(coarse - avg) / avg if avg > 0.0 else 0.0,
         )
     return min(max(avg, 0.0), 0.5)

@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
+from .errors import check_bound
 
 __all__ = [
     "WaterProperties",
@@ -111,14 +112,10 @@ class WaterProperties:
     refractive_index: float = DEFAULT_REFRACTIVE_INDEX
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.absorption) and self.absorption >= 0.0):
-            raise ValueError(f"absorption must be >= 0, got {self.absorption}")
-        if not (math.isfinite(self.scattering) and self.scattering >= 0.0):
-            raise ValueError(f"scattering must be >= 0, got {self.scattering}")
-        if not (math.isfinite(self.hg_asymmetry) and -1.0 < self.hg_asymmetry < 1.0):
-            raise ValueError(f"hg_asymmetry must be in (-1, 1), got {self.hg_asymmetry}")
-        if not (math.isfinite(self.refractive_index) and self.refractive_index >= 1.0):
-            raise ValueError(f"refractive_index must be >= 1, got {self.refractive_index}")
+        check_bound("absorption", self.absorption, ">=", 0)
+        check_bound("scattering", self.scattering, ">=", 0)
+        check_bound("hg_asymmetry", self.hg_asymmetry, "in", (-1, 1))
+        check_bound("refractive_index", self.refractive_index, ">=", 1)
 
     @property
     def extinction(self) -> float:
@@ -170,16 +167,12 @@ class LinkGeometry:
     wavelength: float = DEFAULT_WAVELENGTH
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance) and self.distance > 0.0):
-            raise ValueError(f"distance must be > 0, got {self.distance}")
-        if not (math.isfinite(self.aperture_diameter) and self.aperture_diameter > 0.0):
-            raise ValueError(f"aperture_diameter must be > 0, got {self.aperture_diameter}")
+        check_bound("distance", self.distance, ">", 0)
+        check_bound("aperture_diameter", self.aperture_diameter, ">", 0)
         if not (math.isfinite(self.half_angle_fov) and 0.0 < self.half_angle_fov <= 90.0):
             raise ValueError(f"half_angle_fov must be in (0, 90], got {self.half_angle_fov}")
-        if not (math.isfinite(self.beam_divergence_full) and self.beam_divergence_full >= 0.0):
-            raise ValueError(f"beam_divergence_full must be >= 0, got {self.beam_divergence_full}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        check_bound("beam_divergence_full", self.beam_divergence_full, ">=", 0)
+        check_bound("wavelength", self.wavelength, ">", 0)
 
 
 @dataclass(frozen=True)
@@ -196,10 +189,8 @@ class ImpulseResponse:
     energy_fraction: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if not (math.isfinite(self.t_start) and self.t_start >= 0.0):
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
+        check_bound("bin_width", self.bin_width, ">", 0)
+        check_bound("t_start", self.t_start, ">=", 0)
         frac = np.asarray(self.energy_fraction, dtype=float)
         if frac.ndim != 1 or frac.size == 0:
             raise ValueError("energy_fraction must be a nonempty 1-d array")
@@ -366,8 +357,7 @@ class BitEnergies:
     e_isi: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.e_signal) and self.e_signal >= 0.0):
-            raise ValueError(f"e_signal must be >= 0, got {self.e_signal}")
+        check_bound("e_signal", self.e_signal, ">=", 0)
         # A read-only copy, so that `isi_distribution` cannot go stale.
         isi = np.array(self.e_isi, dtype=float)
         if isi.ndim != 1 or np.any(~np.isfinite(isi)) or np.any(isi < 0.0):
@@ -406,6 +396,16 @@ class BitEnergies:
         values.setflags(write=False)
         probabilities.setflags(write=False)
         return values, probabilities
+
+    def coarse_isi_distribution(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The convolution grid's size, and the ISI distribution on a grid half as fine.
+
+        Meant for a convolved average (memory beyond ISI_ENUMERATION_CAP):
+        the same average over both distributions shows the grid's error.
+        Not cached.
+        """
+        grid_points = _ISI_GRID_POINTS
+        return grid_points, *_isi_distribution(self.e_isi, grid_points // 2)
 
 
 def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
@@ -754,8 +754,7 @@ def simulate_impulse_response(
     """
     if not isinstance(n_photons, (int, np.integer)) or n_photons < 1:
         raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    check_bound("bin_width", bin_width, ">", 0)
     if water.albedo > _MAX_ALBEDO:
         raise ValueError(
             f"albedo b/(a+b) = {water.albedo:.8g} keeps a photon above 1e-06 of its weight "
@@ -831,10 +830,8 @@ def bit_frame_energies(
     -------
     BitEnergies
     """
-    if not (math.isfinite(bit_duration) and bit_duration > 0.0):
-        raise ValueError(f"bit_duration must be > 0, got {bit_duration}")
-    if not (0.0 < tail_epsilon < 1.0):
-        raise ValueError(f"tail_epsilon must be in (0, 1), got {tail_epsilon}")
+    check_bound("bit_duration", bit_duration, ">", 0)
+    check_bound("tail_epsilon", tail_epsilon, "in", (0, 1))
     if ir.bin_width > bit_duration:
         # One slot per bit of the whole trace: a 1 s bin at 1 ns bits is 1e9 slots.
         raise ValueError(f"bin width {ir.bin_width} s exceeds the bit duration {bit_duration} s")
@@ -863,8 +860,7 @@ def channel_memory(response_energy_per_slot, tail_epsilon: float) -> int:
     Returns the smallest L such that the energy beyond slot L is below
     tail_epsilon times the total slot energy.
     """
-    if not (0.0 < tail_epsilon < 1.0):
-        raise ValueError(f"tail_epsilon must be in (0, 1), got {tail_epsilon}")
+    check_bound("tail_epsilon", tail_epsilon, "in", (0, 1))
     energies = np.asarray(response_energy_per_slot, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise ValueError("slot energies must be a nonempty 1-d array")

@@ -46,11 +46,11 @@ from .channel import (
     bit_frame_energies,
     simulate_impulse_response,
 )
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, bound_violation
 from .relay import RelayChain, chain_average_ber
 from .simulate import run_bit_simulation
 from .turbulence import (
-    _GHQ_MAX_ORDER,
+    GHQ_MAX_ORDER,
     FadingModel,
     TurbulenceParams,
     scintillation_index_plane_wave,
@@ -83,8 +83,8 @@ class _Field:
 
     `default` stands in when the key is absent or null, and after a
     violation, so that later cross-field checks still see a number.
-    `bounds` are (op, limit) pairs checked in order; op "in" is an open
-    interval.
+    `bounds` are (op, limit) pairs, checked in order by
+    `errors.bound_violation`.
     """
 
     section: str | None  # None: a top-level key
@@ -98,14 +98,6 @@ class _Field:
     def name(self) -> str:
         return self.key if self.section is None else f"{self.section}.{self.key}"
 
-
-_BOUND_CHECKS = {
-    ">=": lambda value, limit: value >= limit,
-    ">": lambda value, limit: value > limit,
-    "<=": lambda value, limit: value <= limit,
-    "<": lambda value, limit: value < limit,
-    "in": lambda value, limit: limit[0] < value < limit[1],
-}
 
 _NONNEGATIVE = ((">=", 0.0),)
 _POSITIVE = ((">", 0.0),)
@@ -152,7 +144,7 @@ _FIELDS = (
     # step > 0 is checked in code after start < stop, keeping the order violations are listed in.
     _Field("power_sweep_dbm", "step", "sweep_step_db", 1.0),
     _Field(None, "ghq_order", "ghq_order", DEFAULT_GHQ_ORDER,
-           ((">=", 1), ("<=", _GHQ_MAX_ORDER)), integer=True),
+           ((">=", 1), ("<=", GHQ_MAX_ORDER)), integer=True),
     _Field(None, "tail_epsilon", "tail_epsilon", DEFAULT_TAIL_EPSILON, _POSITIVE + (("<", 1),)),
     _Field("mc", "n_photons", "mc_n_photons", 1_000_000, _COUNT, integer=True),
     _Field("mc", "n_bits", "mc_n_bits", 1_000_000, _COUNT, integer=True),
@@ -334,11 +326,7 @@ def _take_number(node: dict, field: _Field, violations: list):
         problem = "must be finite"
     else:
         value = int(value) if field.integer else float(value)
-        problem = next(
-            (f"must be {op} {limit}, got {value}" for op, limit in field.bounds
-             if not _BOUND_CHECKS[op](value, limit)),
-            None,
-        )
+        problem = bound_violation(value, field.bounds)
         if problem is None:
             return value
     violations.append(f"{field.name}: {problem}")

@@ -1,4 +1,7 @@
-"""Exception types used across the package."""
+"""Exception types used across the package, and its one scalar bound check."""
+
+import math
+import operator
 
 __all__ = ["ConfigError", "ConvergenceError"]
 
@@ -18,3 +21,30 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A numerical routine (integral, root solve) failed to converge."""
+
+
+_BOUND_TESTS = {
+    ">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+    "in": lambda value, limit: limit[0] < value < limit[1],
+}
+
+
+def bound_violation(value, bounds) -> str | None:
+    """"must be <op> <limit>, got <value>" for the first of `bounds` that `value` breaks.
+
+    `bounds` are (op, limit) pairs checked in order; op is one of ">=",
+    ">", "<=", "<" and "in", an open interval (low, high). A value that
+    is not finite breaks every bound. None when every bound holds.
+    """
+    finite = math.isfinite(value)
+    for op, limit in bounds:
+        if not (finite and _BOUND_TESTS[op](value, limit)):
+            return f"must be {op} {limit}, got {value}"
+    return None
+
+
+def check_bound(name: str, value, op: str, limit) -> None:
+    """Raise ValueError("<name> must be <op> <limit>, got <value>") if `value` breaks the bound."""
+    problem = bound_violation(value, ((op, limit),))
+    if problem is not None:
+        raise ValueError(f"{name} {problem}")

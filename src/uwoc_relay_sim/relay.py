@@ -22,7 +22,7 @@ from .ber import (
     DEFAULT_GHQ_ORDER, DEFAULT_QUANTUM_EFFICIENCY, HopBerInputs, hop_average_ber, photons_per_bit,
 )
 from .channel import DEFAULT_WAVELENGTH
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_bound
 
 __all__ = [
     "RelayChain",
@@ -95,8 +95,7 @@ class RelayChain:
             raise ValueError("power shares must be finite and >= 0")
         if abs(sum(shares) - 1.0) > 1e-9:
             raise ValueError(f"power shares must sum to 1, got {sum(shares)}")
-        if not (math.isfinite(total_power_per_bit) and total_power_per_bit >= 0.0):
-            raise ValueError(f"total_power_per_bit must be >= 0, got {total_power_per_bit}")
+        check_bound("total_power_per_bit", total_power_per_bit, ">=", 0)
         return cls(
             tuple(
                 HopBerInputs(

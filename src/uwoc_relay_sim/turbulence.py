@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_bound
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,8 @@ _A_T = 1.863e-2
 _A_S = 1.9e-4
 _A_TS = 9.41e-3
 
-_GHQ_MAX_ORDER = 64
+GHQ_MAX_ORDER = 64
+"""Highest Gauss-Hermite order `ghq_rule` accepts."""
 
 SCINT_REL_TOL = 1e-6
 """Largest estimated relative error the scintillation-index integral accepts."""
@@ -87,16 +88,12 @@ class TurbulenceParams:
     distance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.chi_t) and self.chi_t >= 0.0):
-            raise ValueError(f"chi_t must be >= 0, got {self.chi_t}")
-        if not (math.isfinite(self.epsilon_diss) and self.epsilon_diss > 0.0):
-            raise ValueError(f"epsilon_diss must be > 0, got {self.epsilon_diss}")
+        check_bound("chi_t", self.chi_t, ">=", 0)
+        check_bound("epsilon_diss", self.epsilon_diss, ">", 0)
         if not (math.isfinite(self.w_ratio) and self.w_ratio < 0.0):
             raise ValueError(f"w_ratio must be negative, got {self.w_ratio}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if not (math.isfinite(self.distance) and self.distance > 0.0):
-            raise ValueError(f"distance must be > 0, got {self.distance}")
+        check_bound("wavelength", self.wavelength, ">", 0)
+        check_bound("distance", self.distance, ">", 0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ class FadingModel:
     sigma_x_sq: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_x_sq) and self.sigma_x_sq >= 0.0):
-            raise ValueError(f"sigma_x_sq must be >= 0, got {self.sigma_x_sq}")
+        check_bound("sigma_x_sq", self.sigma_x_sq, ">=", 0)
 
     @property
     def mu_x(self) -> float:
@@ -276,8 +272,7 @@ def sigma_x_sq_from_si(si: float) -> float:
 
     Inverts S.I. = exp(4 sigma_x_sq) - 1.
     """
-    if not (math.isfinite(si) and si >= 0.0):
-        raise ValueError(f"scintillation index must be >= 0, got {si}")
+    check_bound("scintillation index", si, ">=", 0)
     return math.log1p(si) / 4.0
 
 
@@ -328,8 +323,8 @@ def ghq_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 1 or order > _GHQ_MAX_ORDER:
-        raise ValueError(f"order must be in 1..{_GHQ_MAX_ORDER}, got {order}")
+    if order < 1 or order > GHQ_MAX_ORDER:
+        raise ValueError(f"order must be in 1..{GHQ_MAX_ORDER}, got {order}")
     return _hermgauss(int(order))
 
 

@@ -420,6 +420,14 @@ def test_hop_average_saddle_failure_names_quadrature_node(monkeypatch):
         u.hop_average_ber(synthetic_hop(17.0, e_isi=[8e-6, 4e-6]), "saddle_point")
 
 
+def test_hop_average_saddle_names_the_node_where_the_signal_rounds_away():
+    # At -170 dBm the signal count is below half an ulp of the noise count,
+    # so m1 == m0 at every node.
+    with pytest.raises(ConvergenceError,
+                       match=r"quadrature node 0 \(h=[0-9.e+-]+\): the signal count rounds away"):
+        u.hop_average_ber(synthetic_hop(-170.0), "saddle_point")
+
+
 def test_saddle_point_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(ber_module, "_MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
@@ -1039,6 +1047,14 @@ def test_hop_average_debug_diagnostics_leave_the_value_unchanged(method, caplog)
     saddle = [m for m in messages if re.match(r"saddle point: \d+ elements", m)]
     assert len(saddle) == (1 if method == "saddle_point" else 0)
     assert loud.hex() == quiet.hex()
+
+
+def test_hop_average_debug_line_names_the_grid_in_use(monkeypatch, caplog):
+    monkeypatch.setattr(channel_module, "_ISI_GRID_POINTS", 4 * channel_module._ISI_GRID_POINTS)
+    hop = synthetic_hop(18.0, e_isi=channel_like_taps(20))
+    with caplog.at_level(logging.DEBUG, logger="uwoc_relay_sim.ber"):
+        u.hop_average_ber(hop, "awgn_ghqf")
+    assert "L=20 convolved on 65536 grid points" in caplog.text
 
 
 def test_hop_average_longest_memory_is_bounded_and_deterministic():

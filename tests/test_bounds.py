@@ -37,8 +37,10 @@ def _ir(x):
 
 # (id, call with the value, name, op, limit as printed, a finite value out of bounds)
 SITES = [
-    ("WaterProperties.absorption", lambda x: u.WaterProperties(x, 0.2), "absorption", ">=", "0", -0.5),
-    ("WaterProperties.scattering", lambda x: u.WaterProperties(0.1, x), "scattering", ">=", "0", -0.5),
+    ("WaterProperties.absorption", lambda x: u.WaterProperties(x, 0.2),
+     "absorption", ">=", "0", -0.5),
+    ("WaterProperties.scattering", lambda x: u.WaterProperties(0.1, x),
+     "scattering", ">=", "0", -0.5),
     ("WaterProperties.hg_asymmetry", lambda x: u.WaterProperties(0.1, 0.2, hg_asymmetry=x),
      "hg_asymmetry", "in", "(-1, 1)", 1.0),
     ("WaterProperties.refractive_index", lambda x: u.WaterProperties(0.1, 0.2, refractive_index=x),
@@ -59,7 +61,8 @@ SITES = [
     ("BitEnergies.e_signal", lambda x: u.BitEnergies(e_signal=x, e_isi=np.zeros(0)),
      "e_signal", ">=", "0", -1e-4),
     ("simulate_impulse_response.bin_width",
-     lambda x: u.simulate_impulse_response(u.LinkGeometry(1.0), u.WaterProperties(0.1, 0.2), 1, x, 1),
+     lambda x: u.simulate_impulse_response(
+         u.LinkGeometry(1.0), u.WaterProperties(0.1, 0.2), 1, x, 1),
      "bin_width", ">", "0", -1e-10),
     ("bit_frame_energies.bit_duration", lambda x: u.bit_frame_energies(_ir(0.5), x),
      "bit_duration", ">", "0", 0.0),

@@ -110,6 +110,22 @@ def test_src_imports_no_scipy():
     assert {name for name in imported if name.split(".")[0] == "scipy"} == set()
 
 
+def test_no_module_imports_another_modules_private_name():
+    # A rule has one home: a module that needs another's underscore name
+    # asks that module for what the name computes instead.
+    imported = []
+    for path in sorted(Path(u.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "uwoc_relay_sim"
+            ):
+                imported += [
+                    f"{path.name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert imported == []
+
+
 def test_readme_library_quick_start_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
