@@ -30,7 +30,7 @@ _BOUND_TESTS = {
 
 
 def bound_violation(value, bounds) -> str | None:
-    """"must be <op> <limit>, got <value>" for the first of `bounds` that `value` breaks.
+    """The first of `bounds` that `value` breaks, as "must be <op> <limit>, got <value>".
 
     `bounds` are (op, limit) pairs checked in order; op is one of ">=",
     ">", "<=", "<" and "in", an open interval (low, high). A value that
