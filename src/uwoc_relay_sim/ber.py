@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import DEFAULT_WAVELENGTH, BitEnergies
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
-from .errors import ConvergenceError, bound_violation, check_bound
+from .errors import ConvergenceError, bound_violation, check_bound, is_finite
 from .turbulence import FadingModel, ghq_rule
 
 logger = logging.getLogger(__name__)
@@ -605,7 +605,7 @@ def gaussian_ber(m0: float, m1: float, sigma_th_sq: float) -> float:
     match gives BER = Q((m1 - m0) / (sqrt(m1 + sigma^2) + sqrt(m0 + sigma^2))).
     """
     check_bound("m0", m0, ">=", 0)
-    if not (math.isfinite(m1) and m1 >= m0):
+    if not (is_finite(m1) and m1 >= m0):
         raise ValueError(f"m1 must be >= m0, got m0={m0}, m1={m1}")
     check_bound("sigma_th_sq", sigma_th_sq, ">=", 0)
     if m1 == m0:
@@ -854,7 +854,7 @@ def hop_average_ber(
     if energies.isi_average == "convolved" and logger.isEnabledFor(logging.DEBUG):
         # The grid error is second order in the step, so doubling the
         # step moves the average by about three times the error.
-        grid_points, coarse_values, coarse_weights = energies.coarse_isi_distribution()
+        grid_points, coarse_values, coarse_weights = energies.coarse_isi_distribution
         coarse_counts = inputs.photons_per_bit * coarse_values
         coarse = float(node_weights @ (conditional(coarse_counts) @ coarse_weights))
         logger.debug(

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import check_bound
+from .errors import check_bound, is_finite
 
 __all__ = [
     "WaterProperties",
@@ -169,7 +169,7 @@ class LinkGeometry:
     def __post_init__(self) -> None:
         check_bound("distance", self.distance, ">", 0)
         check_bound("aperture_diameter", self.aperture_diameter, ">", 0)
-        if not (math.isfinite(self.half_angle_fov) and 0.0 < self.half_angle_fov <= 90.0):
+        if not (is_finite(self.half_angle_fov) and 0.0 < self.half_angle_fov <= 90.0):
             raise ValueError(f"half_angle_fov must be in (0, 90], got {self.half_angle_fov}")
         check_bound("beam_divergence_full", self.beam_divergence_full, ">=", 0)
         check_bound("wavelength", self.wavelength, ">", 0)
@@ -397,15 +397,20 @@ class BitEnergies:
         probabilities.setflags(write=False)
         return values, probabilities
 
+    @cached_property
     def coarse_isi_distribution(self) -> tuple[int, np.ndarray, np.ndarray]:
         """The convolution grid's size, and the ISI distribution on a grid half as fine.
 
         Meant for a convolved average (memory beyond ISI_ENUMERATION_CAP):
         the same average over both distributions shows the grid's error.
-        Not cached.
+        Computed once per instance, like `isi_distribution`; both arrays
+        are read-only.
         """
         grid_points = _ISI_GRID_POINTS
-        return grid_points, *_isi_distribution(self.e_isi, grid_points // 2)
+        values, probabilities = _isi_distribution(self.e_isi, grid_points // 2)
+        values.setflags(write=False)
+        probabilities.setflags(write=False)
+        return grid_points, values, probabilities
 
 
 def _henyey_greenstein_cos(g: float, u: np.ndarray) -> np.ndarray:
@@ -427,34 +432,46 @@ ROTATION_BLOCK = 8192
 intermediate into one `_workspace` of rows this long, which stays in cache."""
 
 
-def _workspace(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eight rows of `width` doubles and three of `width` bools: all that one
-    block of a tracer's launch, step pass or rotation writes besides the
-    photon state, the deposits' bins and the indices of the photons kept,
-    crossing or playing the roulette. The passes take turns with the rows."""
-    return np.empty((8, width)), np.empty((3, width), dtype=bool)
+def _workspace(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eight rows of `width` doubles, three of `width` bools and two of
+    `width` float32s (the rotation's azimuths and their cosines and sines):
+    all that one block of a tracer's launch, step pass or rotation writes
+    besides the photon state, the deposits' bins and the indices of the
+    photons kept, crossing or playing the roulette. The passes take turns
+    with the rows."""
+    return (
+        np.empty((8, width)), np.empty((3, width), dtype=bool), np.empty((2, width), dtype=np.float32)
+    )
 
 
 def _rotate_directions(ux, uy, uz, cos_t, phi, work) -> None:
     """Rotate unit vectors, in place, by polar angle theta (cos_t) and azimuth phi.
 
-    Every intermediate goes to rows 2-7 and the first bool row of `work`, a
-    `_workspace` at least as wide as ux, so cos_t and phi may be its first
-    two rows; phi is left holding sin(phi). Each element sees the
-    operations of the whole-array formula in their order, whatever the
-    array size, so the result does not depend on the block size.
+    The cosine and sine of phi are taken in float32, where numpy runs a
+    SIMD kernel instead of calling libm per element, and written back as
+    doubles; everything else is float64, and the final renormalization
+    absorbs their error of about 1e-7 in cos^2 + sin^2.
+
+    Every intermediate goes to rows 2-7, the first bool row and the float32
+    rows of `work`, a `_workspace` at least as wide as ux, so cos_t and phi
+    may be its first two rows; phi is left holding sin(phi). Each element
+    sees the operations of the whole-array formula in their order, whatever
+    the array size, so the result does not depend on the block size.
     """
     size = ux.size
-    rows, flags = work
+    rows, flags, singles = work
     sin_t, cos_p, denom, nx, ny, nz = rows[2:, :size]
     pole = flags[0, :size]
+    phi_single, trig_single = singles[:, :size]
     # sin_t = sqrt(max(0, 1 - cos_t^2)); denom = sqrt(max(1e-24, 1 - uz^2)).
     np.multiply(cos_t, cos_t, out=sin_t)
     np.subtract(1.0, sin_t, out=sin_t)
     np.maximum(0.0, sin_t, out=sin_t)
     np.sqrt(sin_t, out=sin_t)
-    np.cos(phi, out=cos_p)
-    sin_p = np.sin(phi, out=phi)
+    np.copyto(phi_single, phi, casting="same_kind")
+    np.copyto(cos_p, np.cos(phi_single, out=trig_single))
+    np.copyto(phi, np.sin(phi_single, out=trig_single))
+    sin_p = phi
     np.multiply(uz, uz, out=denom)
     np.subtract(1.0, denom, out=denom)
     np.maximum(1e-24, denom, out=denom)
@@ -557,6 +574,12 @@ def _trace_batch(
     `exponential(1 / c)` to the bit. A block otherwise allocates only index
     arrays, bins and roulette deviates.
 
+    The rotation takes the azimuth's cosine and sine in float32 (see
+    `_rotate_directions`), which moves a direction by about 1e-8. The
+    launch keeps them in float64: its directions set every ballistic
+    weight exp(-c s), while a later direction moves a deposit only if it
+    flips a bin, aperture, field-of-view or crossing decision.
+
     The roulette draws one deviate per photon that plays it, in photon
     order, from a generator of its own: the first child of `rng`'s seed
     sequence. The free paths, cosines and azimuths thus keep their stream,
@@ -626,7 +649,7 @@ def _trace_batch(
     state = np.zeros((8, n))
     ux, uy, uz = state[:3]
     work = _workspace(min(n, ROTATION_BLOCK))
-    rows, flags = work
+    rows, flags, _ = work
     _launch_directions(rng, theta_half, ux, uy, uz, rows[0])
     state[6] = 1.0
 

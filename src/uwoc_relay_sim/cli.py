@@ -46,7 +46,7 @@ from .channel import (
     bit_frame_energies,
     simulate_impulse_response,
 )
-from .errors import ConfigError, ConvergenceError, bound_violation
+from .errors import ConfigError, ConvergenceError, bound_violation, is_finite
 from .relay import RelayChain, chain_average_ber
 from .simulate import run_bit_simulation
 from .turbulence import (
@@ -305,14 +305,6 @@ def _section(data: dict, name: str, violations: list, extra=()) -> dict:
     return node
 
 
-def _is_finite(value) -> bool:
-    """math.isfinite for a JSON number; an integer too large for a float is not finite."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _take_number(node: dict, field: _Field, violations: list):
     """`field`'s value in `node`; its default when absent, null or in violation."""
     value = node.get(field.key)
@@ -322,7 +314,7 @@ def _take_number(node: dict, field: _Field, violations: list):
         problem = f"expected a number, got {value!r}"
     elif field.integer and not isinstance(value, int):
         problem = f"expected an integer, got {value!r}"
-    elif not _is_finite(value):
+    elif not is_finite(value):
         problem = "must be finite"
     else:
         value = int(value) if field.integer else float(value)
@@ -349,7 +341,7 @@ def _is_number_list(value, length: int | None = None, *, positive: bool) -> bool
         and (len(value) == length if length is not None else bool(value))
         and all(
             not isinstance(v, bool) and isinstance(v, (int, float))
-            and (v > 0 if positive else v >= 0) and _is_finite(v)
+            and (v > 0 if positive else v >= 0) and is_finite(v)
             for v in value
         )
     )

@@ -29,14 +29,23 @@ _BOUND_TESTS = {
 }
 
 
+def is_finite(value) -> bool:
+    """math.isfinite for a real number; an integer too large for a float is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def bound_violation(value, bounds) -> str | None:
     """The first of `bounds` that `value` breaks, as "must be <op> <limit>, got <value>".
 
     `bounds` are (op, limit) pairs checked in order; op is one of ">=",
     ">", "<=", "<" and "in", an open interval (low, high). A value that
-    is not finite breaks every bound. None when every bound holds.
+    is not finite (see `is_finite`) breaks every bound. None when every
+    bound holds.
     """
-    finite = math.isfinite(value)
+    finite = is_finite(value)
     for op, limit in bounds:
         if not (finite and _BOUND_TESTS[op](value, limit)):
             return f"must be {op} {limit}, got {value}"

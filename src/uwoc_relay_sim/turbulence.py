@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ConvergenceError, check_bound
+from .errors import ConvergenceError, check_bound, is_finite
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class TurbulenceParams:
     def __post_init__(self) -> None:
         check_bound("chi_t", self.chi_t, ">=", 0)
         check_bound("epsilon_diss", self.epsilon_diss, ">", 0)
-        if not (math.isfinite(self.w_ratio) and self.w_ratio < 0.0):
+        if not (is_finite(self.w_ratio) and self.w_ratio < 0.0):
             raise ValueError(f"w_ratio must be negative, got {self.w_ratio}")
         check_bound("wavelength", self.wavelength, ">", 0)
         check_bound("distance", self.distance, ">", 0)

@@ -1057,6 +1057,28 @@ def test_hop_average_debug_line_names_the_grid_in_use(monkeypatch, caplog):
     assert "L=20 convolved on 65536 grid points" in caplog.text
 
 
+def test_hop_average_debug_builds_each_isi_distribution_once(monkeypatch, caplog):
+    # The full and the half grid are both cached on the energies, so the
+    # DEBUG grid line costs one extra build per hop, not one per average.
+    build = channel_module._isi_distribution
+    built = []
+
+    def counting(e_isi, grid_points=None):
+        built.append(grid_points)
+        return build(e_isi, grid_points)
+
+    monkeypatch.setattr(channel_module, "_isi_distribution", counting)
+    hop = synthetic_hop(18.0, e_isi=channel_like_taps(20))
+    louder = dataclasses.replace(hop, photons_per_bit=2.0 * hop.photons_per_bit)
+    with caplog.at_level(logging.DEBUG, logger="uwoc_relay_sim.ber"):
+        for inputs, method in ((hop, "awgn_ghqf"), (louder, "gaussian")):
+            u.hop_average_ber(inputs, method)
+    assert caplog.text.count("halving the grid changes it") == 2
+    assert built == [None, channel_module._ISI_GRID_POINTS // 2]
+    values, weights = hop.energies.coarse_isi_distribution[1:]
+    assert not values.flags.writeable and not weights.flags.writeable
+
+
 def test_hop_average_longest_memory_is_bounded_and_deterministic():
     # The simulator's largest history, with taps decaying over all of it
     # (30% of the signal slot in all); listing or sampling patterns of

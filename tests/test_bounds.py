@@ -121,3 +121,27 @@ def test_bound_message_is_exact(call, name, op, limit, beyond, kind):
     msg = f"{name} must be {op} {limit}, got {value}"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         call(value)
+
+
+HUGE = 10**400  # a Python integer too large for a float
+
+
+@pytest.mark.parametrize("call, name, op, limit", [s[1:5] for s in SITES],
+                         ids=[s[0] for s in SITES])
+def test_integer_too_large_for_a_float_breaks_every_bound(call, name, op, limit):
+    # Not finite, so a ValueError like any other bad value, not an OverflowError.
+    msg = f"{name} must be {op} {limit}, got {HUGE}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call(HUGE)
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: u.LinkGeometry(1.0, half_angle_fov=HUGE),
+     f"half_angle_fov must be in (0, 90], got {HUGE}"),
+    (lambda: u.TurbulenceParams(**{**TURBULENCE, "w_ratio": HUGE}),
+     f"w_ratio must be negative, got {HUGE}"),
+    (lambda: u.gaussian_ber(0.0, HUGE, 1.0), f"m1 must be >= m0, got m0=0.0, m1={HUGE}"),
+], ids=["LinkGeometry.half_angle_fov", "TurbulenceParams.w_ratio", "gaussian_ber.m1"])
+def test_hand_written_checks_share_the_finiteness_rule(call, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call()

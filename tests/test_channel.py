@@ -483,12 +483,14 @@ def test_generator_advance_matches_drawn_doubles(k):
     )
 
 
-def rotate_whole_array(ux, uy, uz, cos_t, phi):
+def rotate_whole_array(ux, uy, uz, cos_t, phi, trig_dtype=np.float32):
     """The direction update written on whole arrays, one temporary per
-    operation: the oracle for the blocked, in-place `_rotate_directions`."""
+    operation: the oracle for the blocked, in-place `_rotate_directions`.
+    The azimuth's cosine and sine are taken in `trig_dtype` and everything
+    else in float64; with float64 this is the all-double formula."""
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    cos_p = np.cos(phi)
-    sin_p = np.sin(phi)
+    cos_p = np.cos(phi.astype(trig_dtype)).astype(np.float64)
+    sin_p = np.sin(phi.astype(trig_dtype)).astype(np.float64)
     denom = np.sqrt(np.maximum(1e-24, 1.0 - uz * uz))
     nx = sin_t * (ux * uz * cos_p - uy * sin_p) / denom + ux * cos_t
     ny = sin_t * (uy * uz * cos_p + ux * sin_p) / denom + uy * cos_t
@@ -513,14 +515,8 @@ POLAR_UZ = [
 ROTATION_SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 17]
 
 
-# The default block keeps its size-only ids; blocks of 1 and 7 photons
-# check that the result does not depend on the block size.
-@pytest.mark.parametrize("size, block", [
-    pytest.param(size, block, id=str(size) if block == B else f"{size}-block{block}")
-    for block in (B, 1, 7) for size in ROTATION_SIZES
-])
-def test_blocked_rotation_is_bit_identical_to_whole_array_formula(monkeypatch, size, block):
-    monkeypatch.setattr(channel, "ROTATION_BLOCK", block)
+def rotation_inputs(size):
+    """Unit directions with the polar cases, HG cosines and azimuths of `size` photons."""
     rng = np.random.default_rng(size)
     uz = rng.uniform(-1.0, 1.0, size)
     # Scatter the polar values over the array so they fall in different blocks.
@@ -531,12 +527,43 @@ def test_blocked_rotation_is_bit_identical_to_whole_array_formula(monkeypatch, s
     ux, uy = rho * np.cos(azimuth), rho * np.sin(azimuth)
     cos_t = channel._henyey_greenstein_cos(COASTAL.hg_asymmetry, rng.random(size))
     phi = rng.random(size) * (2.0 * np.pi)
+    return ux, uy, uz, cos_t, phi
 
-    expected = rotate_whole_array(ux, uy, uz, cos_t, phi)
+
+def rotate_in_place(ux, uy, uz, cos_t, phi):
+    """`_rotate_directions` on copies of the inputs, in a fresh workspace."""
     rotated = ux.copy(), uy.copy(), uz.copy()
-    channel._rotate_directions(*rotated, cos_t, phi, channel._workspace(size))
-    for want, got in zip(expected, rotated):
+    channel._rotate_directions(*rotated, cos_t, phi.copy(), channel._workspace(ux.size))
+    return rotated
+
+
+# The default block keeps its size-only ids; blocks of 1 and 7 photons
+# check that the result does not depend on the block size.
+@pytest.mark.parametrize("size, block", [
+    pytest.param(size, block, id=str(size) if block == B else f"{size}-block{block}")
+    for block in (B, 1, 7) for size in ROTATION_SIZES
+])
+def test_blocked_rotation_is_bit_identical_to_whole_array_formula(monkeypatch, size, block):
+    monkeypatch.setattr(channel, "ROTATION_BLOCK", block)
+    inputs = rotation_inputs(size)
+    expected = rotate_whole_array(*inputs)
+    for want, got in zip(expected, rotate_in_place(*inputs)):
         assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("size", ROTATION_SIZES)
+def test_rotation_stays_within_1e6_of_the_double_formula_and_unit(size):
+    # The float32 azimuth trigonometry moves each component by about 1e-7;
+    # the float64 rotation and its renormalization keep |u| = 1 to the
+    # last few bits, as the all-double formula does.
+    inputs = rotation_inputs(size)
+    doubles = rotate_whole_array(*inputs, trig_dtype=np.float64)
+    rotated = rotate_in_place(*inputs)
+    for want, got in zip(doubles, rotated):
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-6)
+    norm = np.sqrt(rotated[0] ** 2 + rotated[1] ** 2 + rotated[2] ** 2)
+    assert np.all(np.abs(norm - 1.0) <= 4 * np.finfo(np.float64).eps)
 
 
 def test_causality_t_start(ir_coastal_22p5):
