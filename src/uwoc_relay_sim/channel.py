@@ -575,8 +575,8 @@ def _trace_batch(
     arrays, bins and roulette deviates.
 
     The rotation takes the azimuth's cosine and sine in float32 (see
-    `_rotate_directions`), which moves a direction by about 1e-8. The
-    launch keeps them in float64: its directions set every ballistic
+    `_rotate_directions`), which moves a direction by about 1e-8 (at most
+    about 3e-7). The launch keeps them in float64: its directions set every ballistic
     weight exp(-c s), while a later direction moves a deposit only if it
     flips a bin, aperture, field-of-view or crossing decision.
 
