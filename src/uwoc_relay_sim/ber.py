@@ -16,8 +16,11 @@ The fading average is a Gauss-Hermite rule of the caller's order,
 re-centred on the integrand's mode for each hop and method. The ISI
 average is a weighted sum over the values of the ISI energy: all 2^L
 patterns up to ISI_ENUMERATION_CAP, and beyond it the exact distribution
-of the sum convolved tap by tap on a fixed grid, so its cost and memory
-stay bounded at any channel memory.
+of the sum convolved tap by tap on a fixed grid. Every method follows one
+rule over those values: its conditional BER is evaluated on a 65-point
+grid of ISI counts at each fading node, and its log is interpolated to
+the values by monotone cubics and averaged in blocks of 512 values, so
+the cost and memory stay bounded at any channel memory.
 
 The saddle point is solved by `saddle_point_ber`, one array solver for
 any number of (m0, m1) pairs at once: a bracketed Newton iteration on the
@@ -63,7 +66,10 @@ BER_METHODS = ("awgn_ghqf", "saddle_point", "gaussian")
 DEFAULT_GHQ_ORDER = 30
 """Gauss-Hermite order of the fading average when the caller gives none."""
 
-_SADDLE_GRID_POINTS = 65
+_CONDITIONAL_GRID_POINTS = 65
+"""ISI counts at which `hop_average_ber` evaluates the conditional BER."""
+_ISI_BLOCK = 512
+"""ISI values per block of `hop_average_ber`'s average, whose temporaries stay in cache."""
 _RESIDUAL_TOL = 1e-10
 _STEP_RTOL = 1e-12
 """A Newton step this small (relative) leaves an error at rounding level."""
@@ -763,6 +769,19 @@ def hop_average_ber(
     in the hundreds). At `debug` level the change from halving that grid
     is logged per call.
 
+    Every method weights those values by one rule. Its conditional BER is
+    a sum of terms monotone in the ISI count s (for awgn_ghqf the two
+    hypotheses' 0.5 Q((gamma_s h +- 2 h s) / (2 sigma_Tb)), one term for
+    the others), each evaluated at every fading node on
+    _CONDITIONAL_GRID_POINTS counts spanning the ISI range. Their logs are
+    interpolated by `_pchip` and averaged in blocks of _ISI_BLOCK values,
+    so a call holds about 1.5 MB at L = 16 (65536 values). Against
+    evaluating every (node, value) pair, gaussian and saddle_point agree
+    within 1e-14 relative (2e-12 once shot noise outweighs thermal noise).
+    awgn_ghqf's terms change fastest with the count, and its error grows
+    with the ISI range and the depth of the tail: up to 1.4e-9 at BER
+    1e-13, 3.4e-9 at 1e-31.
+
     Parameters
     ----------
     inputs : HopBerInputs
@@ -795,68 +814,46 @@ def hop_average_ber(
 
     values, weights = energies.isi_distribution
     counts = inputs.photons_per_bit * values
-
-    # conditional(isi_counts) is the method's BER at every (fading node,
-    # ISI count) pair; the average weights it by node and ISI probability.
+    # Without ISI every count is 0, the first of two knots, which the cubic gives exactly.
+    s_max = float(counts.max())
+    grid = np.linspace(0.0, s_max, _CONDITIONAL_GRID_POINTS) if s_max > 0.0 else np.arange(2.0)
+    isi = np.outer(h_nodes, grid)
+    m0, signal = noise.n_bd + isi, (h_nodes * gamma_s)[:, None]
     if method == "awgn_ghqf":
-        sigma_tb = noise.sigma_tb
-        base = h_nodes[:, None] * gamma_s
-
-        def conditional(isi_counts):
-            shift = 2.0 * np.outer(h_nodes, isi_counts)
-            return 0.5 * (
-                _q((base + shift) / (2.0 * sigma_tb)) + _q((base - shift) / (2.0 * sigma_tb))
-            )
-
+        shift = 2.0 * isi
+        terms = 0.5 * _q((signal + np.stack([shift, -shift])) / (2.0 * noise.sigma_tb))
     elif method == "gaussian":
-
-        def conditional(isi_counts):
-            m0 = np.outer(h_nodes, isi_counts) + noise.n_bd
-            m1 = m0 + h_nodes[:, None] * gamma_s
-            return _gaussian_ber_array(m0, m1, noise.sigma_th_sq)
-
+        terms = _gaussian_ber_array(m0, m0 + signal, noise.sigma_th_sq)
     else:
-        # The conditional BER depends on the pattern only through its
-        # scalar ISI count and is smooth and monotone in it, so the solver
-        # runs once on a 65-point grid spanning the ISI range at every
-        # fading node, and the ISI values are evaluated by monotone cubic
-        # (PCHIP, see `_pchip`) interpolation of the log-BER (1e-14-level
-        # agreement with per-pattern solves).
-        s_max = float(counts.max())
-        grid = np.linspace(0.0, s_max, _SADDLE_GRID_POINTS) if s_max > 0.0 else np.zeros(1)
-        m0 = noise.n_bd + np.outer(h_nodes, grid)
-        m1 = m0 + (h_nodes * gamma_s)[:, None]
+        m1 = m0 + signal
         lost = np.flatnonzero(m1 == m0)
         try:
             if lost.size:
                 # Fail here, not in saddle_point_ber's check, to name the node.
                 i = lost[0]
                 raise _SaddleFailure(f"the signal count rounds away against m0={m0.flat[i]}", i)
-            ber = saddle_point_ber(m0, m1, noise.sigma_th_sq).ber
+            terms = saddle_point_ber(m0, m1, noise.sigma_th_sq).ber
         except _SaddleFailure as exc:
             node = exc.index // grid.size
             raise ConvergenceError(
                 f"saddle-point average failed at quadrature node {node} "
                 f"(h={h_nodes[node]:.6g}): {exc}"
             ) from exc
-        if grid.size == 1:
-            # Every ISI value is 0, the one grid point.
-            def conditional(isi_counts):
-                return np.broadcast_to(ber, (ber.shape[0], isi_counts.size))
+    log_terms = np.log(np.maximum(terms, _BER_FLOOR)).reshape(-1, grid.size)
+    log_term = _pchip(grid, log_terms)
 
-        else:
-            log_ber = _pchip(grid, np.log(np.maximum(ber, _BER_FLOOR)))
+    def average(counts, weights):
+        total = np.zeros(log_terms.shape[0])
+        for lo in range(0, counts.size, _ISI_BLOCK):
+            total += np.exp(log_term(counts[lo:lo + _ISI_BLOCK])) @ weights[lo:lo + _ISI_BLOCK]
+        return float(node_weights @ total.reshape(-1, h_nodes.size).sum(axis=0))
 
-            def conditional(isi_counts):
-                return np.exp(log_ber(isi_counts))
-
-    avg = float(node_weights @ (conditional(counts) @ weights))
+    avg = average(counts, weights)
     if energies.isi_average == "convolved" and logger.isEnabledFor(logging.DEBUG):
         # The grid error is second order in the step, so doubling the
         # step moves the average by about three times the error.
         grid_points, coarse_values, coarse_weights = energies.coarse_isi_distribution
-        coarse_counts = inputs.photons_per_bit * coarse_values
-        coarse = float(node_weights @ (conditional(coarse_counts) @ coarse_weights))
+        coarse = average(inputs.photons_per_bit * coarse_values, coarse_weights)
         logger.debug(
             "ISI average (%s): L=%d convolved on %d grid points (%d of nonzero "
             "probability); halving the grid changes it by %.3g relative",

@@ -22,7 +22,7 @@ from .ber import (
     DEFAULT_GHQ_ORDER, DEFAULT_QUANTUM_EFFICIENCY, HopBerInputs, hop_average_ber, photons_per_bit,
 )
 from .channel import DEFAULT_WAVELENGTH
-from .errors import ConvergenceError, check_bound
+from .errors import ConvergenceError, check_bound, is_finite
 
 __all__ = [
     "RelayChain",
@@ -88,11 +88,13 @@ class RelayChain:
             raise ValueError("hop_energies and hop_fading must have equal length")
         if power_shares is None:
             power_shares = [1.0 / n_hops] * n_hops
-        shares = tuple(float(s) for s in power_shares)
+        shares = tuple(power_shares)
         if len(shares) != n_hops:
             raise ValueError(f"power_shares length {len(shares)} does not match {n_hops} hops")
-        if any(not (math.isfinite(s) and s >= 0.0) for s in shares):
+        # Before float(), which overflows on an integer too large for a float.
+        if any(not (is_finite(s) and s >= 0.0) for s in shares):
             raise ValueError("power shares must be finite and >= 0")
+        shares = tuple(float(s) for s in shares)
         if abs(sum(shares) - 1.0) > 1e-9:
             raise ValueError(f"power shares must sum to 1, got {sum(shares)}")
         check_bound("total_power_per_bit", total_power_per_bit, ">=", 0)

@@ -975,9 +975,11 @@ def test_hop_average_monotone_in_power_and_fading():
 
 def enumerated_hop_oracle(hop: u.HopBerInputs, method: str) -> float:
     """Average over all 2^L ISI patterns, listed one by one, at the library's
-    fading nodes. The saddle point is solved on a 65-point grid spanning
-    the exact ISI range and interpolated in log-BER (checked against
-    per-pattern solves by test_hop_average_saddle_grid_matches_exact_solves)."""
+    fading nodes. awgn_ghqf and gaussian are evaluated at every pattern. The
+    saddle point is solved on a 65-point grid spanning the exact ISI range
+    and interpolated in log-BER, as hop_average_ber does for every method
+    (checked against per-value solves by
+    test_hop_average_grid_matches_direct_evaluation)."""
     sums = np.zeros(1)
     for e in hop.energies.e_isi:
         sums = np.concatenate([sums, sums + e])
@@ -1119,6 +1121,118 @@ def test_hop_average_convolved_isi_converges_in_grid(fine_irs, monkeypatch, powe
     finer = [u.hop_average_ber(hop, m) for m in methods]
     assert default != finer
     assert default == pytest.approx(finer, rel=1e-6)
+
+
+def direct_hop_average(hop: u.HopBerInputs, method: str) -> float:
+    """The hop average with the conditional BER evaluated at every (fading
+    node, ISI value) pair, on no grid: the library's fading nodes and ISI
+    distribution, SciPy's normal tail for awgn_ghqf and gaussian, and one
+    saddle-point solve per pair."""
+    values, weights = hop.energies.isi_distribution
+    counts = hop.photons_per_bit * values
+    gamma_s = hop.photons_per_bit * hop.energies.e_signal
+    noise = hop.noise
+    total = 0.0
+    for h, w in zip(*_fading_nodes(hop, method, 30)):
+        m0 = noise.n_bd + h * counts
+        m1 = m0 + h * gamma_s
+        if method == "awgn_ghqf":
+            sigma = 2.0 * math.sqrt(noise.sigma_th_sq + noise.n_bd)
+            conditional = 0.5 * (norm.sf(h * (gamma_s + 2.0 * counts) / sigma)
+                                 + norm.sf(h * (gamma_s - 2.0 * counts) / sigma))
+        elif method == "gaussian":
+            conditional = norm.sf(
+                (m1 - m0) / (np.sqrt(m1 + noise.sigma_th_sq) + np.sqrt(m0 + noise.sigma_th_sq))
+            )
+        else:
+            conditional = u.saddle_point_ber(m0, m1, noise.sigma_th_sq).ber
+        total += w * float(conditional @ weights)
+    return total
+
+
+GRID_RTOL = {"awgn_ghqf": 1e-9, "gaussian": 1e-14, "saddle_point": 1e-12}
+"""How far the grid-interpolated hop average may sit from direct evaluation.
+awgn_ghqf's terms fall and rise fastest in the ISI count, so its bound is
+the loosest; with a 5-point grid every method breaks its bound."""
+
+
+def grid_error(hop: u.HopBerInputs, method: str) -> float:
+    return abs(u.hop_average_ber(hop, method) / direct_hop_average(hop, method) - 1.0)
+
+
+def quiet_receiver_hop(power_dbm: float, memory: int) -> u.HopBerInputs:
+    """A 10 kOhm load: thermal noise 100 times lower than the default, so that
+    the ISI counts move the gaussian and saddle-point BERs as well."""
+    hop = synthetic_hop(power_dbm, e_isi=channel_like_taps(memory))
+    return dataclasses.replace(hop, noise=u.NoiseModel.typical(1e-9, load_resistance=1e4))
+
+
+@pytest.mark.parametrize("method,memory,power_dbm,load", [
+    (method, memory, power_dbm, load)
+    for method in u.BER_METHODS
+    for load, memories, powers in (("default", (0, 10, 16, 20), (18.0, 28.0)),
+                                   ("quiet", (10, 20), (10.0, 18.0)))
+    for memory in memories
+    for power_dbm in powers
+    # Per-value saddle solves of all 65536 values at L = 16 take seconds.
+    if not (method == "saddle_point" and memory == 16)
+])
+def test_hop_average_grid_matches_direct_evaluation(method, memory, power_dbm, load):
+    # Every method interpolates its conditional BER from a 65-point grid of
+    # ISI counts; the average must match evaluating it at every ISI value.
+    hop = (synthetic_hop(power_dbm, e_isi=channel_like_taps(memory)) if load == "default"
+           else quiet_receiver_hop(power_dbm, memory))
+    assert grid_error(hop, method) <= GRID_RTOL[method]
+
+
+@pytest.mark.parametrize("method", ["awgn_ghqf", "gaussian"])
+@pytest.mark.parametrize("power_dbm", [24.0, 33.0])
+def test_hop_average_grid_matches_direct_evaluation_on_a_traced_hop(fine_irs, method, power_dbm):
+    # A 10 Gbps hop with a memory in the hundreds, averaged over the
+    # convolved ISI distribution.
+    energies = u.bit_frame_energies(fine_irs[22.5], bit_duration=1e-10)
+    assert energies.memory > 100
+    hop = u.HopBerInputs(
+        energies=energies,
+        fading=u.FadingModel(sigma_x_sq=SIGMA_X_SQ[22.5]),
+        noise=u.NoiseModel.typical(1e-10),
+        photons_per_bit=u.photons_per_bit(10 ** ((power_dbm - 30.0) / 10.0), 1e-10),
+    )
+    assert grid_error(hop, method) <= GRID_RTOL[method]
+
+
+@pytest.mark.parametrize("method", u.BER_METHODS)
+def test_a_coarse_conditional_grid_breaks_the_direct_evaluation_bound(monkeypatch, method):
+    # The check above is sharp enough to see a grid of 5 points.
+    monkeypatch.setattr(ber_module, "_CONDITIONAL_GRID_POINTS", 5)
+    assert grid_error(quiet_receiver_hop(18.0, 10), method) > GRID_RTOL[method]
+
+
+@pytest.mark.parametrize("method", u.BER_METHODS)
+def test_hop_average_memory_is_bounded_at_the_enumeration_cap(method):
+    # 65536 ISI values at 30 fading nodes. The distribution is built (and
+    # cached on the energies) first, so the peak is the average's alone.
+    hop = synthetic_hop(18.0, e_isi=channel_like_taps(u.ISI_ENUMERATION_CAP))
+    assert hop.energies.isi_distribution[0].size == 65536
+    tracemalloc.start()
+    try:
+        u.hop_average_ber(hop, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"{method}: peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("method", u.BER_METHODS)
+@pytest.mark.parametrize("power_dbm", [18.0, 28.0])
+def test_hop_average_does_not_depend_on_the_block_size(monkeypatch, method, power_dbm):
+    # 1024 ISI values: one block, two, 147, or one value at a time.
+    hop = synthetic_hop(power_dbm, e_isi=channel_like_taps(10))
+    results = []
+    for block in (1, 7, 512, 1 << 20):
+        monkeypatch.setattr(ber_module, "_ISI_BLOCK", block)
+        results.append(u.hop_average_ber(hop, method))
+    assert results == pytest.approx([results[2]] * 4, rel=1e-15, abs=0.0)
 
 
 def test_hop_average_validation():

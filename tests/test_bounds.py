@@ -145,3 +145,10 @@ def test_integer_too_large_for_a_float_breaks_every_bound(call, name, op, limit)
 def test_hand_written_checks_share_the_finiteness_rule(call, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         call()
+
+
+def test_power_share_too_large_for_a_float_is_not_finite():
+    # The shares are checked before float(), which would raise OverflowError.
+    with pytest.raises(ValueError, match=r"^power shares must be finite and >= 0$"):
+        u.RelayChain.assemble([ENERGIES] * 2, [FADING] * 2, u.NoiseModel(**NOISE), 1e-3,
+                              power_shares=[HUGE, 0.5])
