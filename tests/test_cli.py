@@ -760,20 +760,21 @@ RELAY_SWEEP = {
 # curve. Any change to a value, to the order of random draws or to the
 # output format moves a digest. Like the trace pins in test_channel, the
 # digests hold for one numpy build on one CPU family. The four `run` pins
-# were last re-recorded when every method's hop average moved to one rule,
-# the conditional BER interpolated from a 65-point ISI-count grid
-# (`ber.hop_average_ber`): 10 of their 13 analytic BERs moved from the
-# direct per-pattern evaluation, the 7 awgn_ghqf ones by at most 2.2e-11
-# relative and the 3 gaussian ones by at most 9.4e-16; the saddle-point
-# BERs and every Monte Carlo count stayed the same. Before that, SciPy's
-# erfc and erfcx gave way to the package's own kernel (`ber._erfc`), which
-# moved 10 of the 13 by at most 4.1e-15 relative.
+# were last re-recorded when the log-BER interpolant of the 65-point
+# ISI-count grid became a cubic Hermite with fourth-order slopes
+# (`ber._hermite`): the 7 awgn_ghqf BERs moved by at most 2.2e-11 relative,
+# to within 5.1e-15 of direct per-value evaluation, and the 6 gaussian and
+# saddle-point ones by at most 8.9e-16; every Monte Carlo count stayed the
+# same. Before that, the grid rule itself (every method's conditional BER
+# interpolated by PCHIP) had moved the 7 awgn_ghqf BERs by 2.2e-11 the
+# other way, and SciPy's erfc and erfcx had given way to the package's own
+# kernel (`ber._erfc`), moving 10 of the 13 by at most 4.1e-15 relative.
 FROZEN_OUTPUTS = {
     # name: (config, CLI arguments after --config, file written or None for stdout, sha256)
-    "tiny-csv": (TINY_SWEEP, ["run", "--format", "csv"], "curves.csv", "3f0db1c04854aed0474b8e7fafe335abfd664456be7630dfb22330ef75d7ef11"),
-    "tiny-json": (TINY_SWEEP, ["run", "--format", "json"], "report.json", "50e41218a80f4371203a1c769e6316d4cbd6c58607581f7cba70745dd5d11a47"),
-    "relay-csv": (RELAY_SWEEP, ["run", "--format", "csv"], "curves.csv", "8405e38e16d433aa8c0181e7da6515506b32bf1cb8ddedb7aa88dac8ac2a9940"),
-    "relay-json": (RELAY_SWEEP, ["run", "--format", "json"], "report.json", "e4d54d581e220d9b1af13b15636ab679fa0d43dbfbad84e7bf6ff58cfdc94343"),
+    "tiny-csv": (TINY_SWEEP, ["run", "--format", "csv"], "curves.csv", "cca66eb841a28340aed81e975cd9d67f3403c3a3a549add0f6aa3fc6075a0e44"),
+    "tiny-json": (TINY_SWEEP, ["run", "--format", "json"], "report.json", "5109cc125eef1a12ed55d9547ee80dcc890a978f7716076100a34620030923ab"),
+    "relay-csv": (RELAY_SWEEP, ["run", "--format", "csv"], "curves.csv", "9292eb499f637f55bd0ab0e3bb880e1c357b98897b76246d8601d5ea48c40447"),
+    "relay-json": (RELAY_SWEEP, ["run", "--format", "json"], "report.json", "f324db2ff601bb609857bd317b71025794d9f4554d0113893a60c2fe25b88cdb"),
     "tiny-channel": (TINY_SWEEP, ["channel"], "impulse_response_0.csv", "8f4b986dcace361f7e2444851351cade38be984525d25e6261c99313721a3f78"),
     "relay-validate": (RELAY_SWEEP, ["validate"], None, "ee41cf31a8d4efe2d4b4cdef3f18cf27471d71b4f0a202bd373e6b3dbf535746"),
 }
