@@ -101,6 +101,31 @@ def test_simulation_results_are_frozen(name, monkeypatch):
         n_errors, per_hop, gaussian)
 
 
+# Exact results of 3e5-bit runs of an equal-split two-hop ISI chain, from
+# chance through Poisson-only counts to counts past the Gaussian switch.
+FROZEN_TWO_HOP_POWERS = {
+    # total dBm: (n_errors, per-hop errors, Gaussian draws)
+    -20.0: (150241, (150195, 150010), False),
+    -5.0: (150068, (148248, 147968), False),
+    5.0: (147184, (130825, 130369), False),
+    15.0: (48882, (26636, 26982), True),
+}
+
+
+@pytest.mark.parametrize("power_dbm", list(FROZEN_TWO_HOP_POWERS))
+def test_two_hop_simulation_is_frozen_across_powers(power_dbm):
+    hop = synthetic_hop(0.0, e_isi=[8e-6, 4e-6])
+    chain = u.RelayChain.assemble(
+        [hop.energies, hop.energies],
+        [hop.fading, hop.fading],
+        hop.noise,
+        total_power_per_bit=10 ** ((power_dbm - 30.0) / 10.0),
+    )
+    res = u.run_bit_simulation(chain, 300_000, seed=7)
+    assert (res.n_errors, res.per_hop_error_counts, res.gaussian_draws_used) == (
+        FROZEN_TWO_HOP_POWERS[power_dbm])
+
+
 def test_simulate_block_peak_memory_per_bit():
     # Three hops, one past the Poisson-Gaussian switch: each hop's arrays
     # are computed in place and freed after their last use.
