@@ -92,7 +92,7 @@ def chain_values(irs: dict[float, u.ImpulseResponse]) -> dict[tuple, float]:
             chain = u.RelayChain.assemble(
                 energies, fading, noise, total_power_per_bit=10 ** ((dbm - 30.0) / 10.0)
             )
-            values[(method, dbm, rate)] = u.chain_average_ber(chain, method).exact
+            values[(method, dbm, rate)] = u.e2e_ber_exact(u.chain_average_ber(chain, method))
     return values
 
 

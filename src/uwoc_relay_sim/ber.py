@@ -54,7 +54,6 @@ __all__ = [
     "HopBerInputs",
     "SaddlePointResult",
     "conditional_ber_awgn",
-    "poisson_means",
     "saddle_point_ber",
     "gaussian_ber",
     "hop_average_ber",
@@ -354,20 +353,6 @@ def conditional_ber_awgn(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> f
     gamma_isi = n_ph * float(bits @ inputs.energies.e_isi) if bits.size else 0.0
     sign = 1.0 if b0 == 1 else -1.0
     return float(_q(h * (gamma_s + sign * 2.0 * gamma_isi) / (2.0 * inputs.noise.sigma_tb)))
-
-
-def poisson_means(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
-    """Mean photoelectron count of one received slot.
-
-    m = h N_ph (b0 e_signal + sum_k b_k e_isi[k]) + n_bd.
-    """
-    bits = _check_bits(b0, isi_bits, inputs.energies.memory)
-    check_bound("h", h, ">", 0)
-    n_ph = inputs.photons_per_bit
-    signal = b0 * inputs.energies.e_signal
-    if bits.size:
-        signal += float(bits @ inputs.energies.e_isi)
-    return h * n_ph * signal + inputs.noise.n_bd
 
 
 class _SaddleFailure(ConvergenceError):
@@ -763,7 +748,8 @@ def hop_average_ber(
     hypotheses' 0.5 Q((gamma_s h +- 2 h s) / (2 sigma_Tb)), one term for
     the others), each evaluated at every fading node on
     _CONDITIONAL_GRID_POINTS evenly spaced counts from 0 to the largest
-    ISI count. Their logs are interpolated by `_hermite` and averaged in blocks of
+    ISI count (5 counts without ISI, where only the first is read). Their
+    logs are interpolated by `_hermite` and averaged in blocks of
     _ISI_BLOCK values, so a call holds about 1.5 MB at L = 16 (65536
     values). Every method agrees with evaluating every (node, value) pair
     within 2e-12 relative.
@@ -800,8 +786,10 @@ def hop_average_ber(
 
     values, weights = energies.isi_distribution
     counts = inputs.photons_per_bit * values
-    # Without ISI every count is 0, the first knot, which the cubic gives exactly.
-    grid = np.linspace(0.0, float(counts.max()) or 1.0, _CONDITIONAL_GRID_POINTS)
+    # Without ISI every count is 0, the first knot, which the cubic gives
+    # exactly, so the grid needs only the 5 knots `_hermite` takes.
+    s_max = float(counts.max())
+    grid = np.linspace(0.0, s_max or 1.0, _CONDITIONAL_GRID_POINTS if s_max else 5)
     isi = np.outer(h_nodes, grid)
     m0, signal = noise.n_bd + isi, (h_nodes * gamma_s)[:, None]
     if method == "awgn_ghqf":

@@ -47,7 +47,7 @@ from .channel import (
     simulate_impulse_response,
 )
 from .errors import ConfigError, ConvergenceError, bound_violation, is_finite
-from .relay import RelayChain, chain_average_ber
+from .relay import RelayChain, chain_average_ber, e2e_ber_exact
 from .simulate import run_bit_simulation
 from .turbulence import (
     GHQ_MAX_ORDER,
@@ -668,7 +668,7 @@ def run_sweep(cfg: RunConfig) -> list[BerCurve]:
                         )
                         ber, lo, hi = sim.ber_hat, sim.ci95_low, sim.ci95_high
                     else:
-                        ber = chain_average_ber(chain, method, cfg.ghq_order).exact
+                        ber = e2e_ber_exact(chain_average_ber(chain, method, cfg.ghq_order))
                 except (ConvergenceError, ValueError) as exc:
                     failed.append({"power_dbm": dbm, "reason": str(exc)})
                     continue

@@ -6,9 +6,9 @@ independent per-hop error probabilities the number of flips U follows a
 Poisson-binomial distribution, evaluated here by the standard iterative
 convolution dynamic program instead of subset enumeration.
 
-Also provides the all-hops-correct upper bound. The parity functions take
-the per-hop BERs as a plain 1-d sequence; `ChainBerResult` holds one and
-derives the chain figures from it.
+Also provides the all-hops-correct upper bound. `chain_average_ber` gives
+a chain's per-hop BERs as a 1-d array, and `e2e_ber_exact` and
+`e2e_ber_upper` combine any such sequence end to end.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import ConvergenceError, check_bound, is_finite
 
 __all__ = [
     "RelayChain",
-    "ChainBerResult",
-    "prob_u_incorrect",
     "e2e_ber_exact",
     "e2e_ber_upper",
     "chain_average_ber",
@@ -58,11 +56,6 @@ class RelayChain:
                     f"hop 0's {bit_duration}"
                 )
         object.__setattr__(self, "hops", hops)
-
-    @property
-    def n_relays(self) -> int:
-        """Number of intermediate relays N (hops minus one)."""
-        return len(self.hops) - 1
 
     @classmethod
     def assemble(
@@ -116,26 +109,6 @@ class RelayChain:
         )
 
 
-@dataclass(frozen=True)
-class ChainBerResult:
-    """Per-hop average BERs of a chain and the chain figures they give."""
-
-    per_hop: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_hop", _probs(self.per_hop))
-
-    @property
-    def exact(self) -> float:
-        """Exact end-to-end BER (`e2e_ber_exact` of `per_hop`)."""
-        return e2e_ber_exact(self.per_hop)
-
-    @property
-    def upper(self) -> float:
-        """All-hops-correct upper bound (`e2e_ber_upper` of `per_hop`)."""
-        return e2e_ber_upper(self.per_hop)
-
-
 def _probs(p) -> np.ndarray:
     """Per-hop BERs as a validated 1-d float array."""
     probs = np.asarray(p, dtype=float)
@@ -161,14 +134,6 @@ def _flip_count_pmf(probs: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def prob_u_incorrect(p, u: int) -> float:
-    """Probability that exactly u of the hops detect incorrectly."""
-    probs = _probs(p)
-    if not isinstance(u, (int, np.integer)) or u < 0 or u > probs.size:
-        raise ValueError(f"u must be an integer in [0, {probs.size}], got {u!r}")
-    return float(_flip_count_pmf(probs)[u])
-
-
 def e2e_ber_exact(p) -> float:
     """Exact end-to-end BER: probability of an odd number of hop errors.
 
@@ -191,11 +156,11 @@ def e2e_ber_upper(p) -> float:
 
 def chain_average_ber(
     chain: RelayChain, method: str, ghq_order: int = DEFAULT_GHQ_ORDER
-) -> ChainBerResult:
-    """Average per-hop BERs of a chain and combine them end to end.
+) -> np.ndarray:
+    """Average BER of every hop of a chain, in hop order.
 
     Hops fade independently, so each hop's average BER is computed on its
-    own and the chain figures follow from the parity combinatorics. Hops
+    own; `e2e_ber_exact` or `e2e_ber_upper` combines them end to end. Hops
     with the same slot energies (the same object), fading, noise and
     photons per bit have the same average, which is computed once.
     """
@@ -209,4 +174,4 @@ def chain_average_ber(
             except ConvergenceError as exc:
                 raise ConvergenceError(f"hop {i}: {exc}") from exc
         per_hop[i] = solved[key]
-    return ChainBerResult(per_hop)
+    return per_hop

@@ -91,7 +91,10 @@ def _simulate_block(
     """One independent block; returns (e2e errors, per-hop errors, switch hit).
 
     Each hop computes in place, in the order of the plain formulas, and
-    frees each array after its last use.
+    frees each array after its last use. Its counts are drawn on one path
+    whatever the means: Poisson up to `POISSON_GAUSSIAN_SWITCH`, and above
+    it sqrt(m) z + m from standard normals z, the values that
+    `rng.normal(m, sqrt(m))` would give, with less overhead.
     """
     n_total = n_scored + warmup
     tx = rng.integers(0, 2, size=n_total).astype(np.float64)
@@ -112,19 +115,15 @@ def _simulate_block(
         threshold /= 2.0
         threshold += noise.n_bd
 
+        # Each mean is overwritten by its draw.
         small = m <= POISSON_GAUSSIAN_SWITCH
-        if small.all():
-            counts = rng.poisson(m)
-        else:
-            # Each mean is overwritten by its draw.
-            used_gaussian = True
-            counts = m
-            counts[small] = rng.poisson(m[small])
-            large = ~small
-            big = m[large]
-            counts[large] = rng.normal(big, np.sqrt(big))
-            del big, large
-        del m, small
+        counts = m
+        counts[small] = rng.poisson(m[small])
+        large = ~small
+        big = m[large]
+        counts[large] = np.sqrt(big) * rng.standard_normal(big.size) + big
+        used_gaussian |= big.size > 0
+        del m, small, large, big
         y = rng.normal(0.0, math.sqrt(noise.sigma_th_sq), size=n_total)
         y += counts
         del counts

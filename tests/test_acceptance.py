@@ -385,7 +385,7 @@ def test_criterion_07_ber_nondecreasing_in_data_rate(fine_irs):
                     noise,
                     total_power_per_bit=10 ** ((dbm - 30.0) / 10.0),
                 )
-                vals.append(u.chain_average_ber(chain, method).exact)
+                vals.append(u.e2e_ber_exact(u.chain_average_ber(chain, method)))
             assert all(b >= a for a, b in zip(vals, vals[1:])), (
                 f"{method} at {dbm} dBm: BER decreased with data rate: {vals}"
             )

@@ -166,34 +166,6 @@ def test_conditional_awgn_validation():
 
 
 # ---------------------------------------------------------------------------
-# Poisson means
-# ---------------------------------------------------------------------------
-
-
-def test_poisson_means_hand_values():
-    hop = synthetic_hop(20.0, e_isi=[8e-6, 4e-6])
-    n_ph = hop.photons_per_bit
-    n_bd = hop.noise.n_bd
-    assert u.poisson_means(0, [0, 0], 1.0, hop) == pytest.approx(n_bd, rel=1e-14)
-    assert u.poisson_means(1, [0, 0], 2.0, hop) == pytest.approx(
-        n_bd + 2.0 * n_ph * 1.7e-4, rel=1e-14
-    )
-    assert u.poisson_means(1, [1, 1], 1.0, hop) == pytest.approx(
-        n_bd + n_ph * (1.7e-4 + 1.2e-5), rel=1e-14
-    )
-    # Linearity in h of the signal part.
-    m1 = u.poisson_means(1, [1, 0], 1.0, hop) - n_bd
-    m3 = u.poisson_means(1, [1, 0], 3.0, hop) - n_bd
-    assert m3 == pytest.approx(3.0 * m1, rel=1e-12)
-
-
-@pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
-def test_poisson_means_rejects_a_nonpositive_h(h):
-    with pytest.raises(ValueError, match=r"^h must be > 0, got"):
-        u.poisson_means(1, [0, 0], h, synthetic_hop(20.0, e_isi=[8e-6, 4e-6]))
-
-
-# ---------------------------------------------------------------------------
 # Exact Poisson (+) Gaussian oracle
 # ---------------------------------------------------------------------------
 
@@ -613,6 +585,20 @@ def test_hop_average_zero_taps_past_the_cap_average_like_no_memory():
     assert (values.tolist(), probabilities.tolist()) == ([0.0], [1.0])
     for method in u.BER_METHODS:
         assert u.hop_average_ber(padded, method).hex() == u.hop_average_ber(base, method).hex()
+
+
+def test_memoryless_saddle_average_solves_five_knots_per_node(monkeypatch):
+    # Without ISI every count sits on the first knot, so the grid needs
+    # only the 5 knots the interpolant takes, not 65.
+    sizes = []
+
+    def recording(m0, m1, sigma_th_sq):
+        sizes.append(np.broadcast(m0, m1).size)
+        return u.saddle_point_ber(m0, m1, sigma_th_sq)
+
+    monkeypatch.setattr(ber_module, "saddle_point_ber", recording)
+    assert u.hop_average_ber(synthetic_hop(18.0), "saddle_point") == 0.0007430334004316291
+    assert sizes and max(sizes) <= 30 * 5
 
 
 def test_fading_mode_iteration_cap_raises(monkeypatch):

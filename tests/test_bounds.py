@@ -89,7 +89,6 @@ SITES = [
     ("HopBerInputs.photons_per_bit", _hop, "photons_per_bit", ">=", "0", -1.0),
     ("conditional_ber_awgn.h", lambda x: u.conditional_ber_awgn(1, [], x, _hop()), "h", ">", "0",
      0.0),
-    ("poisson_means.h", lambda x: u.poisson_means(1, [], x, _hop()), "h", ">", "0", -0.5),
     ("saddle_point_ber.sigma_th_sq", lambda x: u.saddle_point_ber(1.0, 2.0, x),
      "sigma_th_sq", ">", "0", 0.0),
     ("gaussian_ber.sigma_th_sq", lambda x: u.gaussian_ber(1.0, 2.0, x),

@@ -286,13 +286,13 @@ def test_sweep_ghq_order_reaches_the_quadrature(tiny_curves, tmp_path):
     noise = cfg.noise_model(bit_duration)
     for method in u.BER_METHODS:
         expected = [
-            u.chain_average_ber(
+            u.e2e_ber_exact(u.chain_average_ber(
                 u.RelayChain.assemble(energies, fading, noise, cli._dbm_to_watts(dbm),
                                       quantum_efficiency=cfg.quantum_efficiency,
                                       wavelength=cfg.wavelength_m),
                 method,
                 12,
-            ).exact
+            ))
             for dbm in cfg.power_points_dbm()
         ]
         assert list(curves[method].y) == expected

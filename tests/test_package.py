@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "__version__",
     "BER_METHODS",
     "BitEnergies",
-    "ChainBerResult",
     "ConfigError",
     "ConvergenceError",
     "FadingModel",
@@ -49,8 +48,6 @@ PUBLIC_NAMES = [
     "ghq_rule",
     "hop_average_ber",
     "photons_per_bit",
-    "poisson_means",
-    "prob_u_incorrect",
     "run_bit_simulation",
     "saddle_point_ber",
     "sample_fading",

@@ -1,8 +1,8 @@
 """Relay-chain parity combinatorics tests.
 
 The dynamic-program flip-count PMF is checked against the closed-form
-parity product (1 - prod(1 - 2p)) / 2, brute-force enumeration of all
-error patterns, and subset enumeration of the Poisson-binomial PMF.
+parity product (1 - prod(1 - 2p)) / 2 and brute-force enumeration of all
+error patterns.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ def brute_force_e2e(p: np.ndarray) -> float:
     return total
 
 
-def brute_force_pmf(p: np.ndarray, count: int) -> float:
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=len(p)):
-        if sum(pattern) == count:
-            total += math.prod(pi if e else 1.0 - pi for pi, e in zip(p, pattern))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Hand values
 # ---------------------------------------------------------------------------
@@ -49,24 +41,6 @@ def test_hand_values():
     assert u.e2e_ber_exact([0.1, 0.1]) == pytest.approx(0.18, abs=1e-15)
     assert u.e2e_ber_exact([0.3]) == pytest.approx(0.3, abs=1e-15)
     assert u.e2e_ber_upper([0.3]) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_prob_u_incorrect_hand_values():
-    p = [0.1, 0.2]
-    assert u.prob_u_incorrect(p, 0) == pytest.approx(0.72, abs=1e-15)
-    assert u.prob_u_incorrect(p, 1) == pytest.approx(0.26, abs=1e-15)
-    assert u.prob_u_incorrect(p, 2) == pytest.approx(0.02, abs=1e-15)
-    total = sum(u.prob_u_incorrect(p, k) for k in range(3))
-    assert total == pytest.approx(1.0, abs=1e-14)
-
-
-def test_prob_u_validation():
-    with pytest.raises(ValueError, match="u must be"):
-        u.prob_u_incorrect([0.1], 2)
-    with pytest.raises(ValueError, match="u must be"):
-        u.prob_u_incorrect([0.1], -1)
-    with pytest.raises(ValueError, match="u must be"):
-        u.prob_u_incorrect([0.1], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +73,6 @@ def test_exact_matches_brute_force_enumeration():
             assert u.e2e_ber_exact(p) == pytest.approx(brute_force_e2e(p), abs=1e-14)
     for p in constant_vectors():
         assert u.e2e_ber_exact(p) == pytest.approx(brute_force_e2e(p), abs=1e-14)
-
-
-def test_pmf_matches_subset_enumeration():
-    rng = np.random.default_rng(99)
-    for n in (1, 4, 8, 12):
-        p = rng.random(n) * 0.5
-        for count in range(n + 1):
-            assert u.prob_u_incorrect(p, count) == pytest.approx(
-                brute_force_pmf(p, count), abs=1e-13
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +123,8 @@ def test_upper_bound_no_underflow_at_tiny_p():
 
 
 def test_per_hop_ber_validation():
-    result = u.ChainBerResult([0.0, 0.5, 0.25])
-    assert isinstance(result.per_hop, np.ndarray) and result.per_hop.tolist() == [0.0, 0.5, 0.25]
-    assert result.exact == u.e2e_ber_exact([0.0, 0.5, 0.25]) == 0.5
-    assert result.upper == u.e2e_ber_upper([0.0, 0.5, 0.25])
-    for function in (u.e2e_ber_exact, u.e2e_ber_upper, u.ChainBerResult):
+    assert u.e2e_ber_exact([0.0, 0.5, 0.25]) == 0.5
+    for function in (u.e2e_ber_exact, u.e2e_ber_upper):
         with pytest.raises(ValueError, match=r"^per-hop BERs must lie in \[0, 0.5\]$"):
             function([0.6])
         with pytest.raises(ValueError, match=r"^per-hop BERs must lie in \[0, 0.5\]$"):
@@ -191,7 +152,7 @@ def two_hop_chain(power_dbm: float = 21.0) -> u.RelayChain:
 
 def test_relay_chain_assemble_splits_power_equally():
     chain = two_hop_chain(21.0)
-    assert chain.n_relays == 1
+    assert len(chain.hops) == 2
     per_hop_power = 0.5 * 10 ** ((21.0 - 30.0) / 10.0)
     expected = u.photons_per_bit(per_hop_power, 1e-9)
     for hop in chain.hops:
@@ -234,21 +195,22 @@ def test_relay_chain_assemble_rejects_a_bad_total_power(power):
 def test_chain_average_single_hop_exact_equals_upper():
     hop = synthetic_hop(18.0)
     chain = u.RelayChain(hops=(hop,))
-    result = u.chain_average_ber(chain, "awgn_ghqf")
-    assert result.exact == pytest.approx(result.upper, rel=1e-12)
-    assert result.exact == pytest.approx(float(result.per_hop[0]), rel=1e-12)
-    assert result.exact == pytest.approx(u.hop_average_ber(hop, "awgn_ghqf"), rel=1e-14)
+    per_hop = u.chain_average_ber(chain, "awgn_ghqf")
+    exact = u.e2e_ber_exact(per_hop)
+    assert exact == pytest.approx(u.e2e_ber_upper(per_hop), rel=1e-12)
+    assert exact == pytest.approx(float(per_hop[0]), rel=1e-12)
+    assert exact == pytest.approx(u.hop_average_ber(hop, "awgn_ghqf"), rel=1e-14)
 
 
 def test_chain_average_combines_hops_by_parity():
     chain = two_hop_chain(21.0)
-    result = u.chain_average_ber(chain, "awgn_ghqf")
-    p = result.per_hop
-    assert result.exact == pytest.approx(parity_closed_form(p), rel=1e-12)
-    assert result.upper >= result.exact
+    p = u.chain_average_ber(chain, "awgn_ghqf")
+    exact = u.e2e_ber_exact(p)
+    assert exact == pytest.approx(parity_closed_form(p), rel=1e-12)
+    assert u.e2e_ber_upper(p) >= exact
     # Two identical hops: per-hop BERs match and e2e is nearly double one.
     assert p[0] == pytest.approx(p[1], rel=1e-14)
-    assert result.exact == pytest.approx(2.0 * p[0] * (1.0 - p[0]), rel=1e-12)
+    assert exact == pytest.approx(2.0 * p[0] * (1.0 - p[0]), rel=1e-12)
 
 
 def three_hop_chain_with_repeat() -> u.RelayChain:
@@ -268,10 +230,10 @@ def test_chain_average_solves_each_distinct_hop_once(monkeypatch):
         return u.hop_average_ber(hop, method, ghq_order)
 
     monkeypatch.setattr(relay, "hop_average_ber", counting)
-    result = u.chain_average_ber(chain, "gaussian")
+    per_hop = u.chain_average_ber(chain, "gaussian")
     assert solved == [chain.hops[0], chain.hops[2]]
     expected = [u.hop_average_ber(hop, "gaussian") for hop in chain.hops]
-    assert result.per_hop.tolist() == expected
+    assert per_hop.tolist() == expected
 
 
 def test_chain_average_names_the_failing_hop(monkeypatch):

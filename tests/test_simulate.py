@@ -248,11 +248,11 @@ def test_two_hop_chain_matches_parity_model():
         hop.noise,
         total_power_per_bit=10 ** ((21.0 - 30.0) / 10.0),
     )
-    analytic = u.chain_average_ber(chain, "awgn_ghqf")
+    analytic = u.e2e_ber_exact(u.chain_average_ber(chain, "awgn_ghqf"))
     res = u.run_bit_simulation(chain, 2_000_000, seed=99)
 
     # The simulated end-to-end BER must cover the analytical parity value.
-    assert res.ci95_low <= analytic.exact <= res.ci95_high
+    assert res.ci95_low <= analytic <= res.ci95_high
 
     # Hop errors are independent events, so composing the empirical
     # per-hop rates through the same parity formula must land on the
