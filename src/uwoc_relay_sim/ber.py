@@ -44,7 +44,7 @@ import numpy as np
 
 from .channel import DEFAULT_WAVELENGTH, BitEnergies
 from .constants import BOLTZMANN, ELEMENTARY_CHARGE, PLANCK, SPEED_OF_LIGHT
-from .errors import ConvergenceError, bound_violation, check_bound, is_finite
+from .errors import ConvergenceError, bound_violation, check_bound
 from .turbulence import FadingModel, ghq_rule
 
 logger = logging.getLogger(__name__)
@@ -53,9 +53,7 @@ __all__ = [
     "NoiseModel",
     "HopBerInputs",
     "SaddlePointResult",
-    "conditional_ber_awgn",
     "saddle_point_ber",
-    "gaussian_ber",
     "hop_average_ber",
     "photons_per_bit",
     "BER_METHODS",
@@ -325,36 +323,6 @@ class SaddlePointResult:
     beta: np.ndarray
 
 
-def _check_bits(b0: int, isi_bits, memory: int) -> np.ndarray:
-    if b0 not in (0, 1):
-        raise ValueError(f"b0 must be 0 or 1, got {b0!r}")
-    bits = np.asarray(isi_bits, dtype=float)
-    if bits.ndim != 1 or bits.size != memory:
-        raise ValueError(f"isi_bits must have length {memory}, got shape {bits.shape}")
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("isi_bits entries must be 0 or 1")
-    return bits
-
-
-def conditional_ber_awgn(b0: int, isi_bits, h: float, inputs: HopBerInputs) -> float:
-    """Error probability of the fixed-threshold Gaussian receiver.
-
-    Given the transmitted bit b0, the L previous bits, and the fading
-    coefficient h, the decision statistic is Gaussian around the count
-    mean with signal-independent variance sigma_Tb^2 = sigma_th^2 + n_bd,
-    and the threshold sits at h N_ph e_signal / 2 (perfect CSI, midpoint
-    of the isolated 0/1 means). ISI shifts both hypotheses the same way,
-    so it helps a transmitted one and hurts a transmitted zero.
-    """
-    bits = _check_bits(b0, isi_bits, inputs.energies.memory)
-    check_bound("h", h, ">", 0)
-    n_ph = inputs.photons_per_bit
-    gamma_s = n_ph * inputs.energies.e_signal
-    gamma_isi = n_ph * float(bits @ inputs.energies.e_isi) if bits.size else 0.0
-    sign = 1.0 if b0 == 1 else -1.0
-    return float(_q(h * (gamma_s + sign * 2.0 * gamma_isi) / (2.0 * inputs.noise.sigma_tb)))
-
-
 class _SaddleFailure(ConvergenceError):
     """A saddle-point element failed; `index` is its flat position in the means."""
 
@@ -583,26 +551,14 @@ def saddle_point_ber(m0, m1, sigma_th_sq: float) -> SaddlePointResult:
 
 
 def _gaussian_ber_array(m0, m1, sigma_th_sq):
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    denom = np.sqrt(m1 + sigma_th_sq) + np.sqrt(m0 + sigma_th_sq)
-    return _q((m1 - m0) / denom)
-
-
-def gaussian_ber(m0: float, m1: float, sigma_th_sq: float) -> float:
     """Gaussian approximation of the photon-counting error probability.
 
     Both hypotheses are normal with the Poisson mean and variance plus
     thermal variance; the threshold where the two error probabilities
     match gives BER = Q((m1 - m0) / (sqrt(m1 + sigma^2) + sqrt(m0 + sigma^2))).
     """
-    check_bound("m0", m0, ">=", 0)
-    if not (is_finite(m1) and m1 >= m0):
-        raise ValueError(f"m1 must be >= m0, got m0={m0}, m1={m1}")
-    check_bound("sigma_th_sq", sigma_th_sq, ">=", 0)
-    if m1 == m0:
-        return 0.5
-    return float(_gaussian_ber_array(m0, m1, sigma_th_sq))
+    denom = np.sqrt(m1 + sigma_th_sq) + np.sqrt(m0 + sigma_th_sq)
+    return _q((m1 - m0) / denom)
 
 
 def _fading_nodes(inputs: HopBerInputs, method: str, ghq_order: int):

@@ -218,84 +218,6 @@ class ImpulseResponse:
             buf.write(f"{float(self.t_start + k * self.bin_width)!r},{float(frac)!r}\n")
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str, bin_width: float | None = None) -> "ImpulseResponse":
-        """Parse the `to_csv` format back into an ImpulseResponse.
-
-        The bin width is recovered from the bin starts. A one-bin response
-        (a hop that nothing reaches, or lossless water) has a single start,
-        so its width must be given as `bin_width`; with more bins, a given
-        `bin_width` must agree with the recovered one to 1e-6 relative.
-        """
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "bin_start_s,energy_fraction":
-            raise ValueError("expected header 'bin_start_s,energy_fraction'")
-        starts = []
-        fracs = []
-        for ln in lines[1:]:
-            s, f = ln.split(",")
-            starts.append(float(s))
-            fracs.append(float(f))
-        if len(starts) < 1:
-            raise ValueError("impulse response CSV has no bins")
-        if len(starts) == 1:
-            if bin_width is None:
-                raise ValueError(
-                    "impulse response CSV needs at least 2 bins to recover bin_width; "
-                    "pass bin_width for a one-bin response"
-                )
-            return cls(bin_width=bin_width, t_start=starts[0], energy_fraction=np.array(fracs))
-        starts = np.array(starts)
-        if not np.all(np.diff(starts) > 0.0):
-            raise ValueError("impulse response CSV bin starts must increase")
-        width = _bin_width_from_starts(starts)
-        if np.max(np.abs(starts[0] + np.arange(starts.size) * width - starts)) > 1e-6 * width:
-            raise ValueError("impulse response CSV bin starts are not evenly spaced")
-        if bin_width is not None and not abs(bin_width - width) <= 1e-6 * width:
-            raise ValueError(f"bin_width {bin_width!r} disagrees with the bin starts' width {width!r}")
-        return cls(bin_width=width, t_start=float(starts[0]), energy_fraction=np.array(fracs))
-
-
-def _bin_width_from_starts(starts: np.ndarray) -> float:
-    """The shortest decimal width w for which starts[0] + k*w gives every start.
-
-    Placing each start starts[0] + k*w early or late is monotone in w, so
-    bisection over the ordered bit patterns of positive floats finds the
-    smallest w that places none early and the largest that places none
-    late. For starts that `to_csv` wrote, every width between them gives
-    every start exactly; of those, the one with the fewest significant
-    digits is returned; for starts that no width gives exactly, the
-    shortest decimal between the two bounds.
-    """
-    k = np.arange(starts.size, dtype=float)
-
-    def placed(bits: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return starts[0] + k * np.int64(bits).view(np.float64) - starts
-
-    def first_bits(pred) -> int:
-        # Smallest positive finite float, as bits, where pred turns True.
-        lo, hi = 1, int(np.float64(np.finfo(float).max).view(np.int64))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    none_early = first_bits(lambda b: not np.any(placed(b) < 0.0))
-    none_late = first_bits(lambda b: np.any(placed(b) > 0.0)) - 1
-    low, high = sorted(float(np.int64(b).view(np.float64)) for b in (none_early, none_late))
-    # If a decimal of some length lies in [low, high], rounding low, high or
-    # their midpoint to that length gives one; 17 digits give low itself.
-    for digits in range(1, 17):
-        for x in (low, low + (high - low) / 2.0, high):
-            width = float(f"{x:.{digits - 1}e}")
-            if low <= width <= high:
-                return width
-    return low
-
 
 ISI_ENUMERATION_CAP = 16
 """Largest channel memory averaged by exhaustive 2^L pattern enumeration.
@@ -369,11 +291,6 @@ class BitEnergies:
     def memory(self) -> int:
         """Channel memory L: the number of later slots the bit leaks into."""
         return self.e_isi.size
-
-    @property
-    def total(self) -> float:
-        """e_signal plus all ISI leakage."""
-        return float(self.e_signal + self.e_isi.sum())
 
     @property
     def isi_average(self) -> str:

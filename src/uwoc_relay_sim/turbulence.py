@@ -115,11 +115,6 @@ class FadingModel:
         """Log-amplitude mean -sigma_x_sq, which makes E[h] = 1."""
         return -self.sigma_x_sq
 
-    @property
-    def scintillation_index(self) -> float:
-        """S.I. implied by the log-amplitude variance: exp(4 sigma_x_sq) - 1."""
-        return math.expm1(4.0 * self.sigma_x_sq)
-
 
 def _nikishov_spectrum(kappa, chi_t, epsilon_diss, w_ratio, eta=KOLMOGOROV_MICROSCALE):
     """Oceanic refractive-index spectrum Phi_n(kappa) (vectorized in kappa)."""

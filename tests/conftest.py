@@ -4,12 +4,19 @@ The photon-traced responses are the expensive shared inputs (tens of
 seconds each at 1e7 photons), so they are session-scoped and generated
 once with a pinned seed. Expected totals/bin counts are frozen regression
 values for that exact (seed, batch size, algorithm) combination.
+
+Also shared: test-side code that shares none with the library, namely
+the conditional BER of the fixed-threshold receiver on SciPy's erfc and a
+reader for `ImpulseResponse.to_csv` output.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 import uwoc_relay_sim as u
 
@@ -84,3 +91,36 @@ def synthetic_hop(
         noise=u.NoiseModel.typical(bit_duration),
         photons_per_bit=u.photons_per_bit(10 ** ((power_dbm - 30.0) / 10.0), bit_duration),
     )
+
+
+def isi_patterns(memory: int) -> np.ndarray:
+    """All 2^memory ISI bit patterns, one per row."""
+    return (np.arange(1 << memory)[:, None] >> np.arange(memory)) & 1
+
+
+def conditional_ber_awgn(b0: int, isi_bits, h, hop: u.HopBerInputs):
+    """Error probability of the fixed-threshold Gaussian receiver.
+
+    Given the transmitted bit b0, the previous bits (the last axis of
+    isi_bits, of length L) and the fading coefficient h, the decision
+    statistic is Gaussian around the count mean with variance
+    sigma_Tb^2 = sigma_th^2 + n_bd, and the threshold sits at
+    h N_ph e_signal / 2. ISI shifts both hypotheses the same way, so it
+    helps a transmitted one and hurts a transmitted zero. Evaluated on
+    scipy.special.erfc, so it shares no kernel with the library's `_q`;
+    broadcasts h against the patterns.
+    """
+    n_ph = hop.photons_per_bit
+    gamma_isi = n_ph * (np.asarray(isi_bits, dtype=float) @ hop.energies.e_isi)
+    sign = 1.0 if b0 == 1 else -1.0
+    v = h * (n_ph * hop.energies.e_signal + sign * 2.0 * gamma_isi) / (2.0 * hop.noise.sigma_tb)
+    return 0.5 * erfc(v / math.sqrt(2.0))
+
+
+def read_impulse_response(text: str, bin_width: float) -> u.ImpulseResponse:
+    """Read back what `ImpulseResponse.to_csv` wrote; the bin width comes
+    from the writer's configuration, since a one-bin response has no other."""
+    header, *rows = text.splitlines()
+    assert header == "bin_start_s,energy_fraction"
+    starts, fractions = np.array([row.split(",") for row in rows], dtype=float).T
+    return u.ImpulseResponse(bin_width=bin_width, t_start=float(starts[0]), energy_fraction=fractions)

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 import uwoc_relay_sim as u
 
-from conftest import SIGMA_X_SQ, synthetic_hop
+from conftest import SIGMA_X_SQ, conditional_ber_awgn, isi_patterns, synthetic_hop
 from test_ber import exact_ber_at
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -83,23 +83,21 @@ def test_criterion_01_parity_closed_form_and_enumeration():
 def quad_fading_average(hop: u.HopBerInputs) -> float:
     """Adaptive-quadrature average of the conditional BER over fading.
 
-    Integrates conditional_ber_awgn against the log-normal density via
-    the substitution h = exp(2 X), X Gaussian, so this shares only the
-    conditional formula with the library's quadrature-rule average.
+    Integrates the test-side conditional_ber_awgn, on SciPy's erfc and
+    vectorized over the 2^L patterns, against the log-normal density via
+    the substitution h = exp(2 X), X Gaussian, so this shares neither the
+    rule nor the erfc kernel with the library's quadrature-rule average.
     """
     sig = math.sqrt(hop.fading.sigma_x_sq)
     mu = hop.fading.mu_x
-    memory = hop.energies.memory
-    patterns = [tuple((i >> k) & 1 for k in range(memory)) for i in range(1 << memory)]
+    patterns = isi_patterns(hop.energies.memory)
 
     def integrand(t: float) -> float:
         h = math.exp(2.0 * (mu + sig * t))
         phi = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        cond = sum(
-            0.5 * (u.conditional_ber_awgn(0, b, h, hop) + u.conditional_ber_awgn(1, b, h, hop))
-            for b in patterns
-        )
-        return cond / len(patterns) * phi
+        cond = 0.5 * (conditional_ber_awgn(0, patterns, h, hop)
+                      + conditional_ber_awgn(1, patterns, h, hop))
+        return float(cond.mean()) * phi
 
     value, _ = quad(
         integrand, -15.0, 15.0,

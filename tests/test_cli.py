@@ -24,6 +24,8 @@ from uwoc_relay_sim import channel, cli
 from uwoc_relay_sim.cli import load_config, main, run_sweep, emit_curves
 from uwoc_relay_sim.errors import ConfigError
 
+from conftest import read_impulse_response
+
 
 MINIMAL = {
     "water": {"preset": "coastal"},
@@ -347,8 +349,8 @@ def test_cli_run_fails_cleanly_when_no_photon_reaches_a_hop(tmp_path):
     rows = text.splitlines()
     assert rows[0] == "bin_start_s,energy_fraction"
     assert [row.split(",")[1] for row in rows[1:]] == ["0.0"]
-    # One bin gives no width; the caller supplies it (a tenth of a 1 ns bit).
-    ir = u.ImpulseResponse.from_csv(text, bin_width=1e-10)
+    # One bin gives no width; it comes from the config (a tenth of the shortest bit).
+    ir = read_impulse_response(text, 1.0 / max(data["data_rates_bps"]) / 10.0)
     assert ir.is_empty and ir.to_csv() == text
 
 
@@ -587,7 +589,7 @@ def test_cli_channel_writes_parseable_responses(tmp_path, capsys):
     listed = capsys.readouterr().out.split()
     target = out / "impulse_response_0.csv"
     assert [str(target)] == listed
-    ir = u.ImpulseResponse.from_csv(target.read_text())
+    ir = read_impulse_response(target.read_text(), 1.0 / max(TINY_SWEEP["data_rates_bps"]) / 10.0)
     assert ir.energy_fraction.size >= 2
     assert 0.0 < ir.total_fraction <= 1.0
 

@@ -40,11 +40,9 @@ PUBLIC_NAMES = [
     "bit_frame_energies",
     "chain_average_ber",
     "channel_memory",
-    "conditional_ber_awgn",
     "e2e_ber_exact",
     "e2e_ber_upper",
     "fading_pdf",
-    "gaussian_ber",
     "ghq_rule",
     "hop_average_ber",
     "photons_per_bit",
