@@ -1,14 +1,19 @@
 """Single-hop BER models for an OOK integrate-and-dump receiver.
 
-Three receiver analyses share one set of inputs (slot energies, fading,
-noise, photons per bit):
+Three analyses share one set of inputs (slot energies, fading, noise,
+photons per bit), and they model two receivers:
 
-* an analytical AWGN model with a fixed CSI midpoint threshold, where
-  signal-independent noise is Gaussian with variance sigma_Tb^2,
-* a saddle-point approximation to the exact Poisson-plus-Gaussian
-  decision error, solved from its three stationarity equations, and
-* a Gaussian approximation that replaces the Poisson counts with normals
-  of matching mean and variance.
+* awgn_ghqf: Gaussian signal-independent noise of variance sigma_Tb^2
+  and an ISI-blind threshold, the midpoint h N_ph e_signal / 2 + n_bd of
+  the isolated 0/1 count means, as in `run_bit_simulation`;
+* saddle_point (`saddle_point_ber`): a saddle-point approximation to the
+  exact Poisson-plus-Gaussian decision error;
+* gaussian: the Poisson counts replaced by normals of matching mean and
+  variance.
+
+saddle_point and gaussian set a threshold for each (fading node, ISI
+count) pair: their receiver knows h and the ISI sum of the L previous
+bits (at a relay, decision feedback without error propagation).
 
 `hop_average_ber` averages any of the three over the log-normal fading
 coefficient and over equiprobable ISI bit patterns of the channel memory.
@@ -22,12 +27,6 @@ rule over those values: its conditional BER is evaluated on a uniform
 interpolated to the values by cubic Hermite pieces with fourth-order
 slopes and averaged in blocks of 512 values, so the cost and memory stay
 bounded at any channel memory.
-
-The saddle point is solved by `saddle_point_ber`, one array solver for
-any number of (m0, m1) pairs at once: a bracketed Newton iteration on the
-threshold, with the two stationary points re-solved by bracketed Newton
-iterations at every iterate. `hop_average_ber` calls it once per hop on
-every (fading node, ISI grid point) pair.
 
 All models work in the photoelectron-count domain: the detector
 responsivity is folded into the per-bit count scale N_ph, so one number
@@ -100,12 +99,9 @@ _ERFCX_POLY = (
 _ERFCX_POLY_TAIL = 5.273080124862724e-17
 """The rounding error of P's constant term, added on its own: the term sets
 P(-1) = 1/2 at the foot of its binade, where its rounding would be 0.5 ulp."""
-_ERFC_BLOCK = 8192
-"""Elements per block of `_erfc`. Each block writes every intermediate into
-one workspace of a few rows this long, which stays in cache."""
 
 
-def _exp_square(a, sign: float, rows, flag):
+def _exp_square(a, sign: float):
     """exp(sign a^2) for a >= 0, with a^2 formed exactly as sq + err.
 
     Rounding a^2 before `exp` would cost a relative error of about a^2 ulp
@@ -113,21 +109,17 @@ def _exp_square(a, sign: float, rows, flag):
     split into two 26-bit halves (Dekker, Numer. Math. 18, 1971), whose
     products are exact, and exp(sign sq) is corrected to first order in
     err. Past a = 28 every result is 0 or inf, so larger a are clipped.
-    Every intermediate goes to the four float rows `rows` and the bool row
-    `flag`, each as long as a; the result is returned in the last row.
+    Most intermediates are updated in place; a new array for each step
+    made 8320-element calls about a third slower.
     """
-    clipped, high, low, err = rows
-    np.minimum(a, 28.0, out=clipped)
-    big = np.multiply(clipped, 134217729.0, out=low)  # 2^27 + 1
-    np.subtract(big, np.subtract(big, clipped, out=high), out=high)
-    np.subtract(clipped, high, out=low)
+    clipped = np.minimum(a, 28.0)
+    high = clipped * 134217729.0  # 2^27 + 1
+    high -= high - clipped  # the top 26 bits of a
+    low = clipped - high
     sq = np.multiply(clipped, clipped, out=clipped)
-    # err = ((high^2 - sq) + (2 high) low) + low^2
-    np.multiply(high, high, out=err)
-    err -= sq
-    high *= 2.0
-    err += np.multiply(high, low, out=high)
-    err += np.multiply(low, low, out=low)
+    err = high * high - sq
+    err += (2.0 * high) * low
+    err += low * low
     e = np.exp(np.multiply(sq, sign, out=sq), out=sq)
     # corrected = e + e (sign err)
     err *= sign
@@ -135,7 +127,7 @@ def _exp_square(a, sign: float, rows, flag):
     err += e
     if sign > 0.0:
         # Once exp(a^2) overflows, e * err is inf * 0 or -inf.
-        np.copyto(err, e, where=np.isinf(e, out=flag))
+        np.copyto(err, e, where=np.isinf(e))
     return err
 
 
@@ -149,44 +141,31 @@ def _erfc(x, scaled: bool = False):
     mpmath, erfc is within 4 ulp on [-6, 26.5] where the result is a
     normal float and erfcx within 2 ulp on [-3, 1e4]. erfc(inf) =
     erfcx(inf) = 0, erfc(-inf) = 2, and erfcx is inf, without a warning,
-    once exp(x^2) overflows. Works on blocks of _ERFC_BLOCK elements, each
-    computed in the output and one workspace of five float rows and two
-    bool rows, and returns an array of x's shape (a NumPy scalar for a
-    scalar).
+    once exp(x^2) overflows. Works on the whole array at once: the largest
+    input, `hop_average_ber`'s awgn_ghqf terms, has at most
+    2 x GHQ_MAX_ORDER x 65 = 8320 elements. Returns an array of x's shape
+    (a NumPy scalar for a scalar).
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)  # C order, so that reshape(-1) is a view
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    width = min(flat_x.size, _ERFC_BLOCK)
-    rows, flags = np.empty((5, width)), np.empty((2, width), dtype=bool)
-    for lo in range(0, flat_x.size, _ERFC_BLOCK):
-        xb = flat_x[lo:lo + _ERFC_BLOCK]
-        r = flat_out[lo:lo + _ERFC_BLOCK]
-        a, t, scratch = rows[:3, : xb.size]
-        neg, overflow = flags[:, : xb.size]
-        np.abs(xb, out=a)
-        # At a = inf, (a - K) / (a + K) is nan; P(1) / inf is the 0 wanted.
-        np.minimum(a, 1e300, out=t)
-        np.add(t, _ERFCX_K, out=scratch)
-        t -= _ERFCX_K
-        t /= scratch
-        r.fill(_ERFCX_POLY[0])
-        for c in _ERFCX_POLY[1:-1]:
-            r *= t
-            r += c
+    flat = x.reshape(-1)  # at least 1-d, so that the in-place updates work
+    a = np.abs(flat)
+    # At a = inf, (a - K) / (a + K) is nan; P(1) / inf is the 0 wanted.
+    t = np.minimum(a, 1e300)
+    t = (t - _ERFCX_K) / (t + _ERFCX_K)
+    r = np.full(t.shape, _ERFCX_POLY[0])
+    for c in _ERFCX_POLY[1:-1]:
         r *= t
-        r += _ERFCX_POLY_TAIL
-        r += _ERFCX_POLY[-1]
-        r /= np.add(a, 0.5, out=scratch)
-        np.less(xb, 0.0, out=neg)
-        if scaled:
-            if neg.any():
-                e2 = _exp_square(a, 1.0, rows[1:, : xb.size], overflow)
-                np.subtract(np.multiply(e2, 2.0, out=e2), r, out=r, where=neg)
-        else:
-            r *= _exp_square(a, -1.0, rows[1:, : xb.size], overflow)
-            np.subtract(2.0, r, out=r, where=neg)
-    return out[()]
+        r += c
+    r = (r * t + _ERFCX_POLY_TAIL + _ERFCX_POLY[-1]) / (a + 0.5)
+    neg = flat < 0.0
+    if scaled:
+        if neg.any():
+            e2 = _exp_square(a, 1.0)
+            np.subtract(np.multiply(e2, 2.0, out=e2), r, out=r, where=neg)
+    else:
+        r *= _exp_square(a, -1.0)
+        np.subtract(2.0, r, out=r, where=neg)
+    return r.reshape(x.shape)[()]
 
 
 def _q(x):

@@ -158,10 +158,11 @@ def run_bit_simulation(
     (Gaussian-approximated above `POISSON_GAUSSIAN_SWITCH`, which only
     matters when thermal noise dwarfs the Poisson granularity anyway).
 
-    The detection threshold uses perfect CSI: h N_ph e_signal / 2 + n_bd,
-    the midpoint of the isolated 0/1 count means. It is the threshold the
-    `awgn_ghqf` model assumes, so the simulation checks that model, not
-    `saddle_point` or `gaussian`, which place the threshold optimally.
+    The detection threshold uses perfect CSI but is ISI-blind:
+    h N_ph e_signal / 2 + n_bd, the midpoint of the isolated 0/1 count
+    means, as in `awgn_ghqf`. So the simulation checks that model, not
+    `saddle_point` or `gaussian`, whose receiver also knows the ISI sum of
+    the L previous bits and sets its threshold for it.
     """
     if not isinstance(n_bits, (int, np.integer)) or n_bits < 1:
         raise ValueError(f"n_bits must be a positive integer, got {n_bits!r}")

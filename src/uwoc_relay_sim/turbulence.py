@@ -291,19 +291,14 @@ def fading_pdf(h, f: FadingModel):
     return out if out.ndim else float(out)
 
 
-def sample_fading(f: FadingModel, rng: np.random.Generator, size=None):
-    """Draw unit-mean log-normal fading coefficients h = exp(2X).
+def sample_fading(f: FadingModel, rng: np.random.Generator, size):
+    """Draw `size` unit-mean log-normal fading coefficients h = exp(2X).
 
-    With size=None a single float is returned, otherwise an array.
-    sigma_x_sq = 0 yields the constant 1.
+    sigma_x_sq = 0 yields an array of ones.
     """
     if f.sigma_x_sq == 0.0:
-        if size is None:
-            return 1.0
         return np.ones(size)
     x = rng.normal(f.mu_x, math.sqrt(f.sigma_x_sq), size)
-    if size is None:
-        return np.exp(2.0 * x)
     x *= 2.0
     return np.exp(x, out=x)
 

@@ -275,6 +275,52 @@ def test_criterion_05_simulator_ci_covers_analytical_hop_ber():
     assert elapsed < 600.0
 
 
+def simulate_isi_aware_receiver(hop: u.HopBerInputs, n_bits: int, seed: int) -> int:
+    """Bit errors of the receiver that `gaussian` models, simulated here.
+
+    Each bit's count is Poisson(m_b) plus N(0, sigma_th^2), with h drawn
+    per bit, m0 = n_bd + h N_ph (ISI energy of the L previous transmitted
+    bits) and m1 = m0 + h N_ph e_signal. The receiver knows h and that ISI
+    sum, and decides 1 above beta = (m0 s1 + m1 s0) / (s0 + s1), with
+    s_i = sqrt(m_i + sigma_th^2). It reads the hop's inputs and takes no
+    threshold or error probability from `ber` or `simulate`.
+    """
+    energies, noise, fading = hop.energies, hop.noise, hop.fading
+    memory = energies.e_isi.size
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, n_bits + memory)
+    sent = bits[memory:] == 1
+    isi = np.convolve(bits, np.concatenate(([0.0], energies.e_isi)))[memory:memory + n_bits]
+    gain = hop.photons_per_bit * np.exp(
+        2.0 * rng.normal(fading.mu_x, math.sqrt(fading.sigma_x_sq), n_bits)
+    )
+    m0 = noise.n_bd + gain * isi
+    m1 = m0 + gain * energies.e_signal
+    s0, s1 = np.sqrt(m0 + noise.sigma_th_sq), np.sqrt(m1 + noise.sigma_th_sq)
+    beta = (m0 * s1 + m1 * s0) / (s0 + s1)
+    counts = rng.poisson(np.where(sent, m1, m0)) + rng.normal(
+        0.0, math.sqrt(noise.sigma_th_sq), n_bits
+    )
+    return int(np.count_nonzero((counts > beta) != sent))
+
+
+@pytest.mark.parametrize("e_isi", [(), (8e-6, 4e-6), (4e-5, 2e-5, 1e-5)],
+                         ids=["L=0", "L=2", "L=3"])
+def test_gaussian_hop_ber_matches_an_isi_aware_bit_simulation(e_isi):
+    # The companion of criterion 5 for the receiver that knows the ISI sum:
+    # at L = 3 the ISI is 41% of the signal, and the ISI-blind midpoint
+    # threshold would count hundreds of sigma more errors.
+    hop = synthetic_hop(17.8, e_isi=e_isi)
+    n_bits = 1_000_000
+    analytic = u.hop_average_ber(hop, "gaussian")
+    assert 1e-4 <= analytic <= 1e-2
+    errors = simulate_isi_aware_receiver(hop, n_bits, seed=20240817)
+    z = (errors - n_bits * analytic) / math.sqrt(n_bits * analytic * (1.0 - analytic))
+    report(f"gaussian vs ISI-aware simulation, L={len(e_isi)}: analytic {analytic:.4e}, "
+           f"{errors} errors in {n_bits} bits ({z:+.2f} sigma)")
+    assert abs(z) <= 4.0
+
+
 # ---------------------------------------------------------------------------
 # Criterion 6: horizontal gain of dual-hop over single-hop at BER 1e-6
 # ---------------------------------------------------------------------------
